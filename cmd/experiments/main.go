@@ -8,10 +8,9 @@
 //	experiments -workers 1          # sequential reference run
 //	experiments -shards 8           # sharded vector index (same results)
 //	experiments -shards 8 -partitioner ivf   # IVF coarse-quantizer routing
-//	experiments -shards 8 -partitioner ivf -probes 2  # approximate serving
-//	experiments -shards 8 -partitioner ivf -recall-target 0.95  # adaptive probe budget
+//	experiments -shards 8 -partitioner ivf -recall-target 0.95  # approximate, adaptive probe budget
 //	experiments -shards 8 -partitioner ivf -retrain-skew 1.5    # skew-triggered retrain
-//	experiments -shards 8 -partitioner ivf -probes 2 -quantized  # int8 two-stage scan
+//	experiments -shards 8 -partitioner ivf -recall-target 0.95 -quantized  # int8 two-stage scan
 //	experiments -parallel-budget 16 # pin the worker budget explicitly
 //	experiments -auto-limit         # latency-driven worker budget
 //
@@ -19,15 +18,15 @@
 // store behind every pipeline for the sharded implementation (category-hash
 // or IVF routing per -partitioner), and because sharded search is exact and
 // merges under the flat store's ordering, every table and figure reproduces
-// bit-identically. -probes opts into probe-limited approximate retrieval
-// (only the nearest IVF partitions are searched), which trades exactness
-// for scan reduction — tables may then deviate from the goldens by design;
-// the recall floor for that mode is pinned in internal/vectordb.
-// -recall-target replaces the static budget with the recall-SLO
-// auto-tuner (and -retrain-skew enables automatic IVF retraining): tables
-// deviate the same way, and more so early in a run while the controller
-// is still converging from its cold probes=1 start — the SLO describes
-// steady-state serving, not a short evaluation sweep.
+// bit-identically. -recall-target opts into probe-limited approximate
+// retrieval (only the nearest IVF partitions are searched) with the probe
+// budget owned by the recall-SLO auto-tuner (and -retrain-skew enables
+// automatic IVF retraining), which trades exactness for scan reduction —
+// tables may then deviate from the goldens by design, and more so early
+// in a run while the controller is still converging from its cold
+// probes=1 start: the SLO describes steady-state serving, not a short
+// evaluation sweep. The recall floors for that mode are pinned in
+// internal/vectordb.
 //
 // The experiments fan out on a bounded worker pool (one worker per CPU by
 // default); because the simulated models are order-independent, every
@@ -60,37 +59,25 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size; 0 = one per CPU, 1 = sequential")
 	shards := flag.Int("shards", 0, "vector-index shard count; 0 = one per CPU, 1 = flat exact store")
 	partitioner := flag.String("partitioner", "", "shard routing: category (default) or ivf")
-	probes := flag.Int("probes", 0, "IVF partitions searched per query (approximate); 0 = exact fan-out")
-	recallTarget := flag.Float64("recall-target", 0, "recall-SLO auto-tuner target in (0,1]; replaces -probes with a controller-owned budget")
+	recallTarget := flag.Float64("recall-target", 0, "probe-limited approximate serving with a recall-SLO auto-tuned probe budget, target in (0,1]; 0 = exact fan-out")
 	shadowRate := flag.Float64("shadow-rate", 0, "fraction of queries the auto-tuner shadows exactly; 0 = default 0.05")
 	retrainSkew := flag.Float64("retrain-skew", 0, "auto-retrain the IVF quantizer once max/mean shard skew or centroid drift reaches this ratio (>= 1); 0 = off")
-	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection + exact re-rank (requires probe-limited serving)")
-	overfetch := flag.Int("overfetch", 0, "quantized candidate pool per probed shard, K×overfetch; 0 = default 4")
+	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection + exact re-rank (requires -recall-target)")
 	batch := flag.Int("batch", 0, "micro-batch concurrent retrievals, up to this many per scan-once-per-shard execution (bit-identical results); 0/1 = unbatched")
 	tenants := flag.Bool("tenants", false, "run table4's teams as co-tenants on one shared fleet with per-tenant cost attribution")
 	parallelBudget := flag.Int("parallel-budget", -1, "pin the process-wide extra-worker budget; -1 = default/auto")
 	autoLimit := flag.Bool("auto-limit", false, "auto-size the worker budget from observed model-call latency")
 	flag.Parse()
 
-	if *probes < 0 {
-		fatal(fmt.Errorf("-probes must be >= 0 (0 = exact fan-out), got %d", *probes))
-	}
-	if *probes > 0 && (*shards <= 1 || *partitioner != "ivf") {
-		// Fail here rather than deep inside whichever experiment first
-		// builds a pipeline: probe selection needs trained IVF centroids.
-		fatal(fmt.Errorf("-probes %d requires -shards > 1 and -partitioner ivf (got -shards %d -partitioner %q)",
-			*probes, *shards, *partitioner))
-	}
 	if *recallTarget < 0 || *recallTarget > 1 {
 		fatal(fmt.Errorf("-recall-target must be in (0, 1] (0 = off), got %v", *recallTarget))
-	}
-	if *recallTarget > 0 && *probes > 0 {
-		fatal(fmt.Errorf("-recall-target and -probes are mutually exclusive (the auto-tuner owns the probe budget)"))
 	}
 	if *retrainSkew != 0 && *retrainSkew < 1 {
 		fatal(fmt.Errorf("-retrain-skew must be 0 (off) or >= 1, got %v", *retrainSkew))
 	}
 	if (*recallTarget > 0 || *retrainSkew > 0) && (*shards <= 1 || *partitioner != "ivf") {
+		// Fail here rather than deep inside whichever experiment first
+		// builds a pipeline: probe selection needs trained IVF centroids.
 		fatal(fmt.Errorf("adaptive serving (-recall-target/-retrain-skew) requires -shards > 1 and -partitioner ivf (got -shards %d -partitioner %q)",
 			*shards, *partitioner))
 	}
@@ -100,14 +87,8 @@ func main() {
 	if *shadowRate > 0 && *recallTarget == 0 {
 		fatal(fmt.Errorf("-shadow-rate without -recall-target has nothing to tune"))
 	}
-	if *overfetch < 0 {
-		fatal(fmt.Errorf("-overfetch must be >= 0 (0 = default), got %d", *overfetch))
-	}
-	if *overfetch > 0 && !*quantized {
-		fatal(fmt.Errorf("-overfetch without -quantized has nothing to overfetch"))
-	}
-	if *quantized && *probes == 0 && *recallTarget == 0 {
-		fatal(fmt.Errorf("-quantized requires probe-limited serving (-probes > 0 or -recall-target > 0); exact fan-out never uses the int8 sidecar"))
+	if *quantized && *recallTarget == 0 {
+		fatal(fmt.Errorf("-quantized requires -recall-target > 0 (probe-limited serving); exact fan-out never uses the int8 sidecar"))
 	}
 	if *batch < 0 {
 		fatal(fmt.Errorf("-batch must be >= 0 (0/1 = unbatched), got %d", *batch))
@@ -143,12 +124,10 @@ func main() {
 		env.Workers = *workers
 		env.Shards = *shards
 		env.Partitioner = *partitioner
-		env.Probes = *probes
 		env.RecallTarget = *recallTarget
 		env.ShadowRate = *shadowRate
 		env.RetrainSkew = *retrainSkew
 		env.Quantized = *quantized
-		env.Overfetch = *overfetch
 		env.BatchMax = *batch
 		if *batch > 1 {
 			fmt.Printf("retrieval batching: up to %d concurrent queries per scan (bit-identical to unbatched)\n", *batch)
@@ -159,9 +138,6 @@ func main() {
 				p = "category"
 			}
 			serving := "exact fan-out"
-			if *probes > 0 {
-				serving = fmt.Sprintf("probe-limited, %d probes (approximate once IVF trains)", *probes)
-			}
 			if *recallTarget > 0 {
 				serving = fmt.Sprintf("adaptive probes, recall SLO %.2f (approximate once IVF trains)", *recallTarget)
 			}
@@ -169,11 +145,7 @@ func main() {
 				serving += fmt.Sprintf(", auto-retrain at skew %.2f", *retrainSkew)
 			}
 			if *quantized {
-				of := *overfetch
-				if of == 0 {
-					of = vectordb.DefaultOverfetch
-				}
-				serving += fmt.Sprintf(", int8 two-stage scan (overfetch %d)", of)
+				serving += fmt.Sprintf(", int8 two-stage scan (overfetch %d)", vectordb.DefaultOverfetch)
 			}
 			fmt.Printf("vector index: %d shards (%s routing, %s)\n", *shards, p, serving)
 		}

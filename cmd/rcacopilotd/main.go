@@ -57,8 +57,7 @@ func main() {
 	shards := flag.Int("shards", 0, "vector-store shards (0 = one per CPU, 1 = flat exact store)")
 	recall := flag.Float64("recall-target", 0, "adaptive probe serving recall SLO (0 disables; needs -shards > 1)")
 	retrainSkew := flag.Float64("retrain-skew", 0, "auto-retrain the IVF quantizer at this imbalance ratio (0 disables)")
-	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection + exact re-rank (needs -recall-target)")
-	overfetch := flag.Int("overfetch", 0, "quantized candidate pool per probed shard, K×overfetch (0 = default 4)")
+	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection (K×4 per probed shard, widened by the recall tuner) + exact re-rank (needs -recall-target)")
 	batchMax := flag.Int("batch-max", 0, "micro-batch concurrent retrievals, up to this many per scan-once-per-shard execution (bit-identical results; 0/1 = unbatched)")
 	batchWait := flag.Duration("batch-wait", 0, "max time an under-filled retrieval batch waits for companions (0 = 500µs default; needs -batch-max >= 2)")
 	learnQueue := flag.Int("learn-queue", 64, "async feedback-learn queue depth (0 = learn inline)")
@@ -78,8 +77,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, model: *model, seed: *seed, days: *days, history: *history,
 		shards: *shards, recall: *recall, retrainSkew: *retrainSkew,
-		quantized: *quantized, overfetch: *overfetch,
-		batchMax: *batchMax, batchWait: *batchWait,
+		quantized: *quantized, batchMax: *batchMax, batchWait: *batchWait,
 		learnQueue: *learnQueue, retry: *retry, tenants: *tenants,
 		rate: *rate, burst: *burst, queue: *queue, admitQueue: *admitQueue, grace: *grace,
 		walDir: *walDir, walSyncEvery: *walSyncEvery,
@@ -98,7 +96,6 @@ type config struct {
 	shards              int
 	recall, retrainSkew float64
 	quantized           bool
-	overfetch           int
 	batchMax            int
 	batchWait           time.Duration
 	learnQueue          int
@@ -130,7 +127,6 @@ func run(c config) error {
 		RecallTarget:    c.recall,
 		RetrainSkew:     c.retrainSkew,
 		Quantized:       c.quantized,
-		Overfetch:       c.overfetch,
 		BatchMax:        c.batchMax,
 		BatchWait:       c.batchWait,
 		AsyncLearnQueue: c.learnQueue,

@@ -164,23 +164,15 @@ type Config struct {
 	// Partitioner selects shard routing when Shards > 1:
 	// PartitionCategory (default) or PartitionIVF.
 	Partitioner string
-	// Probes opts retrieval into the sharded store's probe-limited
-	// approximate serving: queries search only this many IVF partitions
-	// nearest the query instead of fanning out to every shard. Requires
-	// Shards > 1 with Partitioner PartitionIVF (rejected otherwise — the
-	// knob would silently never engage) and takes effect once the
-	// quantizer has trained (until then — and whenever probes cover every
-	// populated shard — retrieval stays exact and bit-identical to the
-	// flat store). 0 keeps exact fan-out; negative values are rejected.
-	// Mutually exclusive with RecallTarget, which makes the budget
-	// controller-owned.
-	Probes int
-	// RecallTarget replaces the static Probes knob with the recall-SLO
-	// auto-tuner: a ShadowRate fraction of live retrievals is shadowed
-	// with an exact fan-out off the hot path, and the effective probe
-	// count grows/shrinks to hold this observed recall@k target (e.g.
-	// 0.95). Requires Shards > 1 with Partitioner PartitionIVF; must be in
-	// (0, 1]. 0 disables. See vectordb.Sharded.EnableAdaptive.
+	// RecallTarget opts retrieval into probe-limited approximate serving
+	// owned by the recall-SLO auto-tuner: queries search only the IVF
+	// partitions nearest the query, a ShadowRate fraction of live
+	// retrievals is shadowed with an exact fan-out off the hot path, and
+	// the probe budget grows/shrinks to hold this observed recall@k target
+	// (e.g. 0.95). Requires Shards > 1 with Partitioner PartitionIVF; must
+	// be in (0, 1]. 0 disables, keeping exact fan-out bit-identical to the
+	// flat store. vectordb.Sharded.SetProbes is the runtime manual
+	// override. See vectordb.Sharded.EnableAdaptive.
 	RecallTarget float64
 	// ShadowRate is the fraction of live retrievals the auto-tuner
 	// shadows, in (0, 1]; 0 defaults to 0.05. Only meaningful with
@@ -194,20 +186,13 @@ type Config struct {
 	// 0 disables.
 	RetrainSkew float64
 	// Quantized enables the two-stage quantized probe scan: probe-limited
-	// queries walk a per-shard int8 sidecar to collect K×Overfetch
-	// candidates, then re-rank exactly against the full-precision vectors.
-	// Requires probe-limited serving to be configured (Probes > 0 or
-	// RecallTarget > 0, with Shards > 1 and Partitioner PartitionIVF) —
-	// exact fan-out never touches the sidecar, so quantization without a
-	// probe budget would silently never engage. See
-	// vectordb.Sharded.EnableQuantized.
+	// queries walk a per-shard int8 sidecar to collect K×overfetch
+	// candidates (vectordb.DefaultOverfetch, escalated by the tuner when
+	// recall needs a wider pool), then re-rank exactly against the
+	// full-precision vectors. Requires RecallTarget > 0 — exact fan-out
+	// never touches the sidecar, so quantization without a probe budget
+	// would silently never engage. See vectordb.Sharded.EnableQuantized.
 	Quantized bool
-	// Overfetch scales the stage-one candidate pool: each probed shard
-	// contributes its K×Overfetch best quantized candidates to the exact
-	// re-rank. 0 defaults to vectordb.DefaultOverfetch; negative values
-	// are rejected, as is a nonzero Overfetch without Quantized. Only
-	// meaningful with Quantized.
-	Overfetch int
 	// BatchMax enables micro-batched retrieval: concurrent retrieval
 	// queries (Retrieve, Predict's neighbour lookup) coalesce through a
 	// vectordb.Batcher into TopKBatch executions of at most this size,
@@ -312,18 +297,6 @@ func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) 
 		return nil, fmt.Errorf("core: unknown partitioner %q (want %q or %q)",
 			cfg.Partitioner, PartitionCategory, PartitionIVF)
 	}
-	if cfg.Probes < 0 {
-		return nil, fmt.Errorf("core: negative probe count %d (use 0 for exact fan-out)", cfg.Probes)
-	}
-	if cfg.Probes > 0 && cfg.Shards <= 1 {
-		return nil, fmt.Errorf("core: Probes=%d requires a sharded vector store (Shards > 1)", cfg.Probes)
-	}
-	if cfg.Probes > 0 && cfg.Partitioner != PartitionIVF {
-		// Probe selection needs centroid geometry; under category routing
-		// the knob would silently never engage, masking a misconfiguration.
-		return nil, fmt.Errorf("core: Probes=%d requires Partitioner=%q (got %q, which has no centroids to probe)",
-			cfg.Probes, PartitionIVF, cfg.Partitioner)
-	}
 	if cfg.RecallTarget < 0 || cfg.RecallTarget > 1 {
 		return nil, fmt.Errorf("core: RecallTarget %v outside (0, 1]", cfg.RecallTarget)
 	}
@@ -336,10 +309,6 @@ func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) 
 	if cfg.RetrainSkew != 0 && cfg.RetrainSkew < 1 {
 		return nil, fmt.Errorf("core: RetrainSkew %v must be 0 (off) or >= 1 (a max/mean ratio)", cfg.RetrainSkew)
 	}
-	if cfg.RecallTarget > 0 && cfg.Probes > 0 {
-		return nil, fmt.Errorf("core: RecallTarget=%v and Probes=%d are mutually exclusive (the auto-tuner owns the probe budget; use vectordb.Sharded.SetProbes for a runtime manual override)",
-			cfg.RecallTarget, cfg.Probes)
-	}
 	if adaptive := cfg.RecallTarget > 0 || cfg.RetrainSkew > 0; adaptive {
 		if cfg.Shards <= 1 {
 			return nil, fmt.Errorf("core: adaptive serving (RecallTarget/RetrainSkew) requires a sharded vector store (Shards > 1)")
@@ -349,25 +318,11 @@ func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) 
 				PartitionIVF, cfg.Partitioner)
 		}
 	}
-	if cfg.Overfetch < 0 {
-		return nil, fmt.Errorf("core: negative Overfetch %d (use 0 for the default)", cfg.Overfetch)
-	}
-	if cfg.Overfetch > 0 && !cfg.Quantized {
-		return nil, fmt.Errorf("core: Overfetch=%d without Quantized (nothing to overfetch)", cfg.Overfetch)
-	}
-	if cfg.Quantized {
-		// The int8 sidecar only serves probe-limited queries: without a
-		// probe budget (static or SLO-owned) the flag would silently never
-		// engage, masking a misconfiguration.
-		if cfg.Probes == 0 && cfg.RecallTarget == 0 {
-			return nil, fmt.Errorf("core: Quantized requires probe-limited serving (Probes > 0 or RecallTarget > 0); exact fan-out never uses the sidecar")
-		}
-		if cfg.Shards <= 1 {
-			return nil, fmt.Errorf("core: Quantized requires a sharded vector store (Shards > 1)")
-		}
-		if cfg.Partitioner != PartitionIVF {
-			return nil, fmt.Errorf("core: Quantized requires Partitioner=%q (got %q)", PartitionIVF, cfg.Partitioner)
-		}
+	if cfg.Quantized && cfg.RecallTarget == 0 {
+		// The int8 sidecar only serves probe-limited queries: without the
+		// SLO-owned probe budget the flag would silently never engage,
+		// masking a misconfiguration.
+		return nil, fmt.Errorf("core: Quantized requires RecallTarget > 0 (probe-limited serving); exact fan-out never uses the sidecar")
 	}
 	if cfg.BatchMax < 0 {
 		return nil, fmt.Errorf("core: negative BatchMax %d (use 0 to disable batching)", cfg.BatchMax)
@@ -444,17 +399,15 @@ func (c *Copilot) SetEmbedder(e Embedder) (dropped int, err error) {
 		c.durable = nil
 	}
 	// PartitionIVF also starts on category-hash routing: the quantizer can
-	// only be trained once vectors exist (see trainPartitioner); the probe
-	// budget — static or auto-tuned — is likewise dormant until the IVF
-	// quantizer routes.
+	// only be trained once vectors exist (see trainPartitioner); the
+	// auto-tuned probe budget is likewise dormant until the IVF quantizer
+	// routes.
 	opts := vectordb.Options{
 		Shards:       c.cfg.Shards,
-		Probes:       c.cfg.Probes,
 		RecallTarget: c.cfg.RecallTarget,
 		ShadowRate:   c.cfg.ShadowRate,
 		RetrainSkew:  c.cfg.RetrainSkew,
 		Quantized:    c.cfg.Quantized,
-		Overfetch:    c.cfg.Overfetch,
 	}
 	dim := e.Dim()
 	var db vectordb.Index
@@ -560,9 +513,9 @@ func (c *Copilot) Index() vectordb.Index {
 // stored vectors. It is a no-op for the flat store and category routing;
 // called after batch ingest so the quantizer reflects the loaded history.
 // The handoff onto the trained quantizer is incremental — ingest and
-// queries keep flowing — and under exact serving (Config.Probes == 0)
+// queries keep flowing — and under exact serving (no probe budget)
 // placement never changes retrieval results, so retraining is invisible
-// to Predict. With Probes > 0 this training is also the moment
+// to Predict. With RecallTarget > 0 this training is also the moment
 // probe-limited serving engages: the freshly trained centroids are what
 // probe selection ranks.
 func (c *Copilot) trainPartitioner(db vectordb.Index) error {

@@ -100,25 +100,21 @@ func TestNewRejectsUnknownPartitioner(t *testing.T) {
 	}
 }
 
-// TestProbeConfigValidation covers the probe knob's config surface:
-// negative budgets and probes without a sharded store are rejected; a
-// valid probe config reaches the index.
+// TestProbeConfigValidation covers the manual probe override on a
+// copilot's index: the sharded IVF store is reachable through
+// vectordb.AsSharded, a negative budget is rejected, and a valid budget
+// reaches the index.
 func TestProbeConfigValidation(t *testing.T) {
-	e := getEnv(t)
-	chat := newCopilot(t, Config{}).Chat()
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 4, Probes: -1}); err == nil {
-		t.Fatal("negative probes must fail")
-	}
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 1, Probes: 2}); err == nil {
-		t.Fatal("probes without shards must fail")
-	}
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 4, Probes: 2}); err == nil {
-		t.Fatal("probes under category routing must fail (would silently never engage)")
-	}
-	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, Probes: 2})
-	s, ok := c.Index().(*vectordb.Sharded)
+	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF})
+	s, ok := vectordb.AsSharded(c.Index())
 	if !ok {
 		t.Fatalf("index is %T", c.Index())
+	}
+	if err := s.SetProbes(-1); err == nil {
+		t.Fatal("negative probes must fail")
+	}
+	if err := s.SetProbes(2); err != nil {
+		t.Fatal(err)
 	}
 	if s.Probes() != 2 {
 		t.Fatalf("Probes = %d on the index, want 2", s.Probes())
@@ -127,9 +123,8 @@ func TestProbeConfigValidation(t *testing.T) {
 
 // TestAdaptiveConfigValidation covers the adaptive serving knobs' config
 // surface: out-of-range targets/rates/skews, adaptive without the IVF
-// sharded store, shadow rate without a target, and the Probes/RecallTarget
-// exclusivity are all rejected; a valid adaptive config reaches the index
-// as an installed controller.
+// sharded store, and shadow rate without a target are all rejected; a
+// valid adaptive config reaches the index as an installed controller.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	e := getEnv(t)
 	chat := newCopilot(t, Config{}).Chat()
@@ -139,7 +134,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, ShadowRate: 2},
 		{Shards: 4, Partitioner: PartitionIVF, ShadowRate: 0.5},
 		{Shards: 4, Partitioner: PartitionIVF, RetrainSkew: 0.5},
-		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, Probes: 2},
 		{Shards: 1, RecallTarget: 0.9},
 		{Shards: 4, RecallTarget: 0.9},
 		{Shards: 4, RetrainSkew: 1.5},
@@ -202,7 +196,11 @@ func TestAdaptiveCopilotPredicts(t *testing.T) {
 // by contract once the quantizer trains).
 func TestProbeCopilotPredicts(t *testing.T) {
 	e := getEnv(t)
-	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, Probes: 1})
+	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF})
+	s, _ := vectordb.AsSharded(c.Index())
+	if err := s.SetProbes(1); err != nil {
+		t.Fatal(err)
+	}
 	incs := e.corpus.Incidents[:40]
 	clones := make([]*incident.Incident, len(incs))
 	for i, in := range incs {
@@ -211,7 +209,6 @@ func TestProbeCopilotPredicts(t *testing.T) {
 	if err := c.LearnBatch(clones, 2); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Index().(*vectordb.Sharded)
 	if _, ok := s.Partitioner().(*vectordb.IVF); !ok {
 		t.Fatalf("partitioner is %T, want trained IVF", s.Partitioner())
 	}
@@ -246,27 +243,24 @@ func TestShardsDefaultToNumCPU(t *testing.T) {
 	}
 }
 
-// TestQuantizedConfigValidation covers the two-stage quantization knobs'
-// config surface: quantization without probe-limited serving (or without
-// the IVF sharded store), negative overfetch, and overfetch without
-// quantization are rejected; a valid config reaches the index with the
-// sidecar enabled and the overfetch factor applied.
+// TestQuantizedConfigValidation covers the two-stage quantization knob's
+// config surface: quantization without the recall-SLO probe budget (or
+// without the IVF sharded store) is rejected; a valid config reaches the
+// index with the sidecar enabled at the default overfetch factor.
 func TestQuantizedConfigValidation(t *testing.T) {
 	e := getEnv(t)
 	chat := newCopilot(t, Config{}).Chat()
 	bad := []Config{
 		{Shards: 4, Partitioner: PartitionIVF, Quantized: true},
-		{Shards: 1, Probes: 0, Quantized: true},
-		{Shards: 4, Partitioner: PartitionIVF, Probes: 2, Overfetch: -1},
-		{Shards: 4, Partitioner: PartitionIVF, Probes: 2, Overfetch: 8},
-		{Shards: 4, Probes: 2, Quantized: true},
+		{Shards: 1, Quantized: true},
+		{Shards: 4, RecallTarget: 0.9, Quantized: true},
 	}
 	for i, cfg := range bad {
 		if _, err := New(e.corpus.Fleet, chat, cfg); err == nil {
 			t.Fatalf("case %d: config %+v must be rejected", i, cfg)
 		}
 	}
-	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, Probes: 2, Quantized: true, Overfetch: 6})
+	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, Quantized: true})
 	s, ok := c.Index().(*vectordb.Sharded)
 	if !ok {
 		t.Fatalf("index is %T", c.Index())
@@ -274,11 +268,7 @@ func TestQuantizedConfigValidation(t *testing.T) {
 	if !s.QuantizedEnabled() {
 		t.Fatal("quantized config must enable the sidecar on the index")
 	}
-	if s.Overfetch() != 6 {
-		t.Fatalf("Overfetch = %d on the index, want 6", s.Overfetch())
-	}
-	// SLO-owned probe budget also counts as probe-limited serving.
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, Quantized: true}); err != nil {
-		t.Fatal(err)
+	if s.Overfetch() != vectordb.DefaultOverfetch {
+		t.Fatalf("Overfetch = %d on the index, want the default %d", s.Overfetch(), vectordb.DefaultOverfetch)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed/fasttext"
 	"repro/internal/incident"
@@ -37,14 +38,11 @@ type Env struct {
 	// Partitioner selects shard routing when Shards > 1 (see
 	// core.PartitionCategory / core.PartitionIVF; empty = category hash).
 	Partitioner string
-	// Probes opts the sharded index into probe-limited approximate
-	// serving (search only this many IVF partitions nearest each query).
-	// 0 keeps exact fan-out — the mode every golden assumes; probe runs
-	// are for the recall/latency trade-off experiments.
-	Probes int
-	// RecallTarget enables the recall-SLO auto-tuner on every pipeline the
-	// harness builds (adaptive probe serving; requires Shards > 1 and the
-	// IVF partitioner). 0 keeps whatever Probes selects.
+	// RecallTarget enables probe-limited approximate serving under the
+	// recall-SLO auto-tuner on every pipeline the harness builds (requires
+	// Shards > 1 and the IVF partitioner). 0 keeps exact fan-out — the
+	// mode every golden assumes; adaptive runs are for the recall/latency
+	// trade-off experiments.
 	RecallTarget float64
 	// ShadowRate is the auto-tuner's shadow-query sampling fraction
 	// (0 = the 0.05 default). Only meaningful with RecallTarget.
@@ -54,13 +52,9 @@ type Env struct {
 	RetrainSkew float64
 	// Quantized enables the two-stage int8 probe scan (candidate collection
 	// on the quantized sidecar, exact re-rank at full precision) on every
-	// pipeline the harness builds. Requires probe-limited serving (Probes
-	// or RecallTarget) on the IVF sharded index.
+	// pipeline the harness builds. Requires RecallTarget on the IVF
+	// sharded index.
 	Quantized bool
-	// Overfetch scales the quantized stage's candidate pool (K×Overfetch
-	// per probed shard; 0 = the vectordb default). Only meaningful with
-	// Quantized.
-	Overfetch int
 	// BatchMax inserts the micro-batching collector in front of every
 	// pipeline's vector store (>= 2): the per-incident retrievals of a
 	// Table-2/3 method cell, issued concurrently by the Workers pool,
@@ -77,6 +71,16 @@ type Env struct {
 	ft          *fasttext.Model
 	ftErr       error
 	ftTrainTime time.Duration
+}
+
+// retrieval returns the core.Config retrieval-serving knobs every
+// pipeline the harness builds shares.
+func (e *Env) retrieval() core.Config {
+	return core.Config{
+		Shards: e.Shards, Partitioner: e.Partitioner,
+		RecallTarget: e.RecallTarget, ShadowRate: e.ShadowRate, RetrainSkew: e.RetrainSkew,
+		Quantized: e.Quantized, BatchMax: e.BatchMax, BatchWait: e.BatchWait,
+	}
 }
 
 // NewEnv generates the paper-faithful corpus for the seed and splits it

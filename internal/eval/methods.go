@@ -305,13 +305,9 @@ func RunPipeline(e *Env, opts PipelineOptions) (*PipelineRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	cop, err := core.New(e.Corpus.Fleet, chat, core.Config{
-		K: opts.K, Alpha: opts.Alpha, Context: opts.Context,
-		Shards: e.Shards, Partitioner: e.Partitioner, Probes: e.Probes,
-		RecallTarget: e.RecallTarget, ShadowRate: e.ShadowRate, RetrainSkew: e.RetrainSkew,
-		Quantized: e.Quantized, Overfetch: e.Overfetch,
-		BatchMax: e.BatchMax, BatchWait: e.BatchWait,
-	})
+	cfg := e.retrieval()
+	cfg.K, cfg.Alpha, cfg.Context = opts.K, opts.Alpha, opts.Context
+	cop, err := core.New(e.Corpus.Fleet, chat, cfg)
 	if err != nil {
 		return nil, err
 	}

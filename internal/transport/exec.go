@@ -73,8 +73,8 @@ func (e *Exec) Tenant() string { return e.tenant }
 
 // Ambient returns the fleet's shared execution context: queries charge the
 // fleet meter directly and advance the shared virtual clock, the pre-context
-// behaviour. It is what the Fleet's own query methods delegate to, and what
-// sequential drivers (corpus generation, single-threaded tools) use.
+// behaviour. It is what sequential drivers (corpus generation,
+// single-threaded tools, tests) query through.
 // Concurrent callers wanting per-run cost attribution use NewExec instead.
 func (f *Fleet) Ambient() *Exec { return f.ambient }
 
@@ -120,74 +120,4 @@ func (e *Exec) charge(site string, d time.Duration) {
 	}
 	e.costs.Charge(site, d)
 	e.clock.Advance(d)
-}
-
-// ---- Fleet-level query surface (ambient-context delegation) ----
-//
-// The Fleet keeps the full telemetry query API for sequential callers and
-// existing tests; each call runs on the ambient context, charging the fleet
-// meter and advancing the shared clock exactly as before per-run contexts
-// existed.
-
-// ProbeLog renders a machine's recent synthetic-probe results.
-func (f *Fleet) ProbeLog(machine string) (string, error) { return f.ambient.ProbeLog(machine) }
-
-// SocketMetrics renders a machine's UDP socket table.
-func (f *Fleet) SocketMetrics(machine string) (string, error) {
-	return f.ambient.SocketMetrics(machine)
-}
-
-// ExceptionStacks renders a machine's recent exception stacks.
-func (f *Fleet) ExceptionStacks(machine string) (string, error) {
-	return f.ambient.ExceptionStacks(machine)
-}
-
-// ThreadStackGrouping aggregates identical thread stacks in a process.
-func (f *Fleet) ThreadStackGrouping(machine, process string) (string, error) {
-	return f.ambient.ThreadStackGrouping(machine, process)
-}
-
-// QueueMetrics renders a forest's queue depths.
-func (f *Fleet) QueueMetrics(forest string) (string, error) { return f.ambient.QueueMetrics(forest) }
-
-// DiskUsage renders a machine's per-volume utilization.
-func (f *Fleet) DiskUsage(machine string) (string, error) { return f.ambient.DiskUsage(machine) }
-
-// CrashEvents renders a forest's crash record.
-func (f *Fleet) CrashEvents(forest string) (string, error) { return f.ambient.CrashEvents(forest) }
-
-// CertInventory renders a forest's certificate table.
-func (f *Fleet) CertInventory(forest string) (string, error) {
-	return f.ambient.CertInventory(forest)
-}
-
-// TenantConnectors renders a forest's per-tenant connector counts.
-func (f *Fleet) TenantConnectors(forest string) (string, error) {
-	return f.ambient.TenantConnectors(forest)
-}
-
-// ComponentAvailability renders a forest's component availability counters.
-func (f *Fleet) ComponentAvailability(forest string) (string, error) {
-	return f.ambient.ComponentAvailability(forest)
-}
-
-// ConfigDump renders a forest's configuration-service state.
-func (f *Fleet) ConfigDump(forest string) (string, error) { return f.ambient.ConfigDump(forest) }
-
-// DNSResolution renders a DNS health check from a machine.
-func (f *Fleet) DNSResolution(machine string) (string, error) {
-	return f.ambient.DNSResolution(machine)
-}
-
-// DeliveryHealth reports a forest's delivery-service health.
-func (f *Fleet) DeliveryHealth(forest string) (string, error) {
-	return f.ambient.DeliveryHealth(forest)
-}
-
-// TraceSample renders a request-flow trace across a forest's tiers.
-func (f *Fleet) TraceSample(forest string) (string, error) { return f.ambient.TraceSample(forest) }
-
-// ProvisioningStatus renders a forest's provisioning check.
-func (f *Fleet) ProvisioningStatus(forest string) (string, error) {
-	return f.ambient.ProvisioningStatus(forest)
 }

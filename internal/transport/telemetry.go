@@ -14,8 +14,9 @@ import (
 //
 // The queries live on the per-run execution context (Exec): the cost lands
 // in the run's own sink and virtual time advances on the run's own clock
-// view, so concurrent handler runs never interleave their accounting. The
-// Fleet re-exports every query through its ambient context (see exec.go).
+// view, so concurrent handler runs never interleave their accounting.
+// Sequential callers query through the fleet's ambient context
+// (Fleet.Ambient).
 
 // ProbeLog renders the recent synthetic-probe results for a machine,
 // matching the DatacenterHubOutboundProxyProbe log of Figure 6.

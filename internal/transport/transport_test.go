@@ -44,11 +44,11 @@ func TestFleetDeterministic(t *testing.T) {
 			}
 		}
 	}
-	sa, err := a.SocketMetrics(a.Forests[0].Machines[0].Name)
+	sa, err := a.Ambient().SocketMetrics(a.Forests[0].Machines[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := b.SocketMetrics(b.Forests[0].Machines[0].Name)
+	sb, err := b.Ambient().SocketMetrics(b.Forests[0].Machines[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestHubPortExhaustionTelemetrySignals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock, err := f.SocketMetrics(af.Machine)
+	sock, err := f.Ambient().SocketMetrics(af.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sock, "Transport.exe") {
 		t.Errorf("socket metrics missing dominant process:\n%s", sock)
 	}
-	probe, err := f.ProbeLog(af.Machine)
+	probe, err := f.Ambient().ProbeLog(af.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +151,14 @@ func TestHubPortExhaustionTelemetrySignals(t *testing.T) {
 	if !strings.Contains(probe, "WinSock error: 11001") {
 		t.Errorf("probe log missing WinSock signature:\n%s", probe)
 	}
-	dns, err := f.DNSResolution(af.Machine)
+	dns, err := f.Ambient().DNSResolution(af.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dns, "FAILED") {
 		t.Errorf("dns check should fail under port exhaustion:\n%s", dns)
 	}
-	stacks, err := f.ExceptionStacks(af.Machine)
+	stacks, err := f.Ambient().ExceptionStacks(af.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDeliveryHangShowsBlockedThreadGroup(t *testing.T) {
 	if machine == "" {
 		t.Fatal("no backlogged mailbox machine found")
 	}
-	out, err := f.ThreadStackGrouping(machine, "Transport.exe")
+	out, err := f.Ambient().ThreadStackGrouping(machine, "Transport.exe")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +197,14 @@ func TestFullDiskTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := f.DiskUsage(af.Machine)
+	disk, err := f.Ambient().DiskUsage(af.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(disk, "volume is full") {
 		t.Errorf("disk usage missing full-volume flag:\n%s", disk)
 	}
-	crashes, err := f.CrashEvents(af.Forest)
+	crashes, err := f.Ambient().CrashEvents(af.Forest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestCertAndTenantTelemetry(t *testing.T) {
 	if _, err := f.Inject("AuthCertIssue", 0); err != nil {
 		t.Fatal(err)
 	}
-	certs, err := f.CertInventory(f.Forests[0].Name)
+	certs, err := f.Ambient().CertInventory(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCertAndTenantTelemetry(t *testing.T) {
 	if _, err := f.Inject("CertForBogusTenants", 1); err != nil {
 		t.Fatal(err)
 	}
-	tenants, err := f.TenantConnectors(f.Forests[1].Name)
+	tenants, err := f.Ambient().TenantConnectors(f.Forests[1].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestGenericExceptionAppearsInCrashTelemetry(t *testing.T) {
 	}, 2); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.CrashEvents(f.Forests[2].Name)
+	out, err := f.Ambient().CrashEvents(f.Forests[2].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +309,13 @@ func TestGenericExceptionAppearsInCrashTelemetry(t *testing.T) {
 
 func TestTelemetryUnknownTargets(t *testing.T) {
 	f := newTestFleet(t)
-	if _, err := f.ProbeLog("nope"); err == nil {
+	if _, err := f.Ambient().ProbeLog("nope"); err == nil {
 		t.Error("ProbeLog should fail for unknown machine")
 	}
-	if _, err := f.QueueMetrics("nope"); err == nil {
+	if _, err := f.Ambient().QueueMetrics("nope"); err == nil {
 		t.Error("QueueMetrics should fail for unknown forest")
 	}
-	if _, err := f.ThreadStackGrouping(f.Forests[0].Machines[0].Name, "ghost.exe"); err == nil {
+	if _, err := f.Ambient().ThreadStackGrouping(f.Forests[0].Machines[0].Name, "ghost.exe"); err == nil {
 		t.Error("ThreadStackGrouping should fail for unknown process")
 	}
 }
@@ -323,10 +323,10 @@ func TestTelemetryUnknownTargets(t *testing.T) {
 func TestQueryCostsAccumulateOnMeter(t *testing.T) {
 	f := newTestFleet(t)
 	before := f.Meter().Total()
-	if _, err := f.ProbeLog(f.Forests[0].Machines[0].Name); err != nil {
+	if _, err := f.Ambient().ProbeLog(f.Forests[0].Machines[0].Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.QueueMetrics(f.Forests[0].Name); err != nil {
+	if _, err := f.Ambient().QueueMetrics(f.Forests[0].Name); err != nil {
 		t.Fatal(err)
 	}
 	if f.Meter().Total() <= before {
@@ -342,10 +342,10 @@ func TestQueryCostScale(t *testing.T) {
 	cfg.QueryCostScale = 10
 	big := NewFleet(cfg)
 	small := NewFleet(DefaultConfig(1))
-	if _, err := big.ProbeLog(big.Forests[0].Machines[0].Name); err != nil {
+	if _, err := big.Ambient().ProbeLog(big.Forests[0].Machines[0].Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.ProbeLog(small.Forests[0].Machines[0].Name); err != nil {
+	if _, err := small.Ambient().ProbeLog(small.Forests[0].Machines[0].Name); err != nil {
 		t.Fatal(err)
 	}
 	if big.Meter().Total() <= small.Meter().Total() {
@@ -355,7 +355,7 @@ func TestQueryCostScale(t *testing.T) {
 
 func TestTraceSampleReflectsFaults(t *testing.T) {
 	f := newTestFleet(t)
-	healthy, err := f.TraceSample(f.Forests[0].Name)
+	healthy, err := f.Ambient().TraceSample(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestTraceSampleReflectsFaults(t *testing.T) {
 	}
 	// The injected mailbox machine may not be the first; check DeliveryHealth
 	// instead, which scans all mailbox machines.
-	dh, err := f.DeliveryHealth(f.Forests[0].Name)
+	dh, err := f.Ambient().DeliveryHealth(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestComponentAvailabilityRendersDispatcherSignal(t *testing.T) {
 	if _, err := f.Inject("DispatcherTaskCancelled", 0); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.ComponentAvailability(f.Forests[0].Name)
+	out, err := f.Ambient().ComponentAvailability(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestConfigDumpShowsUnhealthyConfigService(t *testing.T) {
 	if _, err := f.Inject("UseRouteResolution", 0); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.ConfigDump(f.Forests[0].Name)
+	out, err := f.Ambient().ConfigDump(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestConfigDumpShowsUnhealthyConfigService(t *testing.T) {
 
 func TestProvisioningStatus(t *testing.T) {
 	f := newTestFleet(t)
-	out, err := f.ProvisioningStatus(f.Forests[0].Name)
+	out, err := f.Ambient().ProvisioningStatus(f.Forests[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,37 +124,33 @@ type shardScanResult struct {
 	best map[int]map[incident.Category]Scored
 }
 
-// scanBatch walks the shard's backing once for a set of queries: floatQ
-// are scanned at full precision (one pass over the columnar float rows,
-// every member query scoring each row), quantQ through the int8 sidecar
-// (one pass over the codes collecting k×overfetch candidates per query,
-// then the exact re-rank). ofs carries each query's effective overfetch
-// factor indexed by batch position (nil when no query is quantized).
-// Namespace-scoped queries skip rows outside their namespace, exactly
-// like the sequential scoped scans. Per-query decisions — threshold
-// pre-checks, candidate heaps, tie-breaks — replicate the sequential
-// single-query scans exactly, so each query's local result is
-// bit-identical to what topK/categoryBest/topKQuantized would have
+// scanBatch serves a set of queries from one shard visit under a single
+// shard lock: floatQ are scanned at full precision in one pass over the
+// columnar float rows, every member query scoring each row; quantQ each
+// run the per-query two-stage scan (twoStageLocked) with the candidate
+// pool k times ofs[qi], the query's own overfetch factor (co-batched
+// tenants can carry different factors). Namespace-scoped queries skip
+// rows outside their namespace, exactly like the sequential scoped scans.
+// Per-query decisions — threshold pre-checks, candidate heaps,
+// tie-breaks — replicate the sequential single-query scans exactly, so
+// each query's local result is bit-identical to what
+// topK/categoryBest/topKQuantized/categoryBestQuantized would have
 // returned for it.
 func (sh *shard) scanBatch(queries []BatchQuery, floatQ, quantQ []int, ofs []int) shardScanResult {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	res := shardScanResult{topk: make(map[int][]Scored), best: make(map[int]map[incident.Category]Scored)}
-	if len(quantQ) > 0 {
-		q := sh.quant
-		if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
-			// Sidecar missing or momentarily out of sync: serve these
-			// queries at full precision, exactly like the sequential
-			// fallback in topKQuantized.
-			floatQ = append(append([]int(nil), floatQ...), quantQ...)
-			quantQ = nil
-		}
-	}
 	if len(floatQ) > 0 {
 		sh.scanBatchFloat(queries, floatQ, &res)
 	}
-	if len(quantQ) > 0 {
-		sh.scanBatchQuantized(queries, quantQ, ofs, &res)
+	for _, qi := range quantQ {
+		bq := &queries[qi]
+		topk, best := sh.twoStageLocked(bq.Vector, bq.Time, bq.K, ofs[qi], bq.Alpha, bqScope(bq), bq.Diverse)
+		if bq.Diverse {
+			res.best[qi] = best
+		} else {
+			res.topk[qi] = topk
+		}
 	}
 	return res
 }
@@ -300,141 +296,27 @@ func distance4(a0, a1, a2, a3, row []float64) (d0, d1, d2, d3 float64) {
 	return math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
 }
 
-// scanBatchQuantized is the int8 half of scanBatch: one walk of the
-// sidecar codes maintaining every member query's candidate heap — the
-// hoisted per-query state (wq, q², threshold) and per-row arithmetic are
-// identical to scanQuantized's — followed by the per-query exact re-rank.
-// Each query's candidate pool is k times ITS overfetch factor (per-
-// namespace escalation means co-batched tenants can carry different
-// factors). Caller holds sh.mu and has verified the sidecar is in sync.
-func (sh *shard) scanBatchQuantized(queries []BatchQuery, quantQ []int, ofs []int, res *shardScanResult) {
-	q := sh.quant
-	dim := sh.dim
-	type qstate struct {
-		wq     []int64
-		q2     int64
-		qdays  float64
-		alpha  float64
-		want   int
-		thr    float64
-		scoped bool
-		ns     string
-		cands  qHeap
-	}
-	states := make([]qstate, len(quantQ))
-	for j, qi := range quantQ {
-		bq := &queries[qi]
-		qq := q.encodeQuery(bq.Vector)
-		st := qstate{
-			wq:     make([]int64, dim),
-			qdays:  daysOf(bq.Time),
-			alpha:  bq.Alpha,
-			want:   bq.K * ofs[qi],
-			thr:    math.Inf(-1),
-			scoped: bq.Scoped,
-			ns:     bq.Namespace,
-		}
-		for d, c := range qq[:dim] {
-			st.wq[d] = q.w[d] * c
-			st.q2 += st.wq[d] * c
-		}
-		st.cands = make(qHeap, 0, min(st.want, len(sh.entries))+1)
-		states[j] = st
-	}
-	for i := range sh.entries {
-		row := q.codes[i*dim : i*dim+dim]
-		for j := range states {
-			st := &states[j]
-			if st.scoped && st.ns != sh.entries[i].Namespace {
-				continue
-			}
-			var dot int64
-			for d, c := range row {
-				dot += st.wq[d] * int64(c)
-			}
-			acc := q.s2[i] + st.q2 - 2*dot
-			dist := q.unit * math.Sqrt(float64(acc))
-			dt := st.qdays - q.days[i]
-			if dt < 0 {
-				dt = -dt
-			}
-			decay := fastExp(-st.alpha * dt)
-			if decay <= st.thr*(1+dist) {
-				continue
-			}
-			st.cands.offer(qCand{idx: i, sim: decay / (1 + dist)}, st.want)
-			if len(st.cands) == st.want {
-				st.thr = st.cands[0].sim
-			}
-		}
-	}
-	for j, qi := range quantQ {
-		bq := &queries[qi]
-		if bq.Diverse {
-			best := make(map[incident.Category]Scored)
-			for _, c := range states[j].cands {
-				d, sim := similarityAt(bq.Vector, bq.Time, sh.row(c.idx), sh.entries[c.idx].Time, bq.Alpha)
-				sc := Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: sim}
-				if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-					best[sc.Entry.Category] = sc
-				}
-			}
-			for cat, sc := range best {
-				sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-				best[cat] = sc
-			}
-			res.best[qi] = best
-		} else {
-			h := make(worstFirst, 0, bq.K+1)
-			for _, c := range states[j].cands {
-				d, sim := similarityAt(bq.Vector, bq.Time, sh.row(c.idx), sh.entries[c.idx].Time, bq.Alpha)
-				h.offer(Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: sim}, bq.K)
-			}
-			for i := range h {
-				h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
-			}
-			res.topk[qi] = h.drain()
-		}
-	}
-}
-
-// shardScan is one shard's work item in a batch round: the queries that
-// consume it, split by scan mode.
+// shardScan is one shard's work item in a batch: the queries that consume
+// it, split by scan mode.
 type shardScan struct {
 	sh     *shard
 	floatQ []int
 	quantQ []int
 }
 
-// batchPlan tracks one query's probe state across batch rounds.
-type batchPlan struct {
-	probed bool
-	quant  bool
-	// ranked/consumed drive per-query budget growth (EnablePerQueryProbes):
-	// the full probe ranking and how many of its partitions the query has
-	// scanned so far. done latches once growth stops.
-	ranked   []probeCand
-	consumed int
-	done     bool
-}
-
 // TopKBatch executes a batch of queries with results bit-identical to
 // issuing each query sequentially through TopK/TopKDiverse: probe
 // selection runs per query against the same ranking, shards are visited
-// in the union of the per-query selections, and each probed shard's
-// backing (columnar floats, or the int8 sidecar on the quantized path) is
-// scanned ONCE for all the queries that selected it — the
-// memory-bandwidth-dominated row stream amortizes across the batch the
-// way a blocked matmul amortizes operand loads. Each query consumes rows
-// only from shards its own budget selected.
-//
-// With EnablePerQueryProbes, probed queries instead seed at the effective
-// (tuner-converged) probe budget and then grow their own budget shard by
-// shard while the next-ranked partition's optimistic best-similarity
-// estimate still exceeds the query's current k-th result by more than the
-// configured margin — easy queries stop at the seed, hard ones escalate —
-// trading strict sequential bit-identity for per-query recall targeting;
-// the tuner's shadow sampling observes the batched results end-to-end.
+// in the union of the per-query selections, and each probed shard is
+// visited ONCE for all the queries that selected it — its columnar float
+// rows stream once for every full-precision member, the way a blocked
+// matmul amortizes operand loads, while quantized members run their own
+// two-stage scan within the same shard visit. Each query consumes rows
+// only from shards its own budget selected. With a rebalance in flight
+// every query fans out exactly over both generations, the draining shards
+// merged before the current ones and duplicates collapsed by ID — the
+// same no-miss/no-double-count argument as the sequential mid-rebalance
+// path.
 func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	for i := range queries {
 		if err := checkQuery(s.dim, queries[i].Vector, queries[i].K); err != nil {
@@ -450,13 +332,6 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	draining, current := s.liveShards()
-	if draining != nil {
-		return s.topKBatchDraining(queries, draining, current)
-	}
-
-	quantOn := s.quantized.Load()
-	perQuery := s.perQuery.Load()
-	minGain := math.Float64frombits(s.perQueryGain.Load())
 
 	// Per-query serving knobs: each query resolves its namespace's probe
 	// budget, overfetch factor, and controller — unscoped and default-
@@ -469,135 +344,87 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 		ofs[qi] = s.overfetchFor(nsSts[qi])
 	}
 
-	// Plan round 0: per-query probe selection (the same ranking sequential
-	// probeShards uses), grouped into one scan per selected shard.
-	plans := make([]batchPlan, len(queries))
-	var round []*shardScan
-	scanFor := make(map[*shard]*shardScan)
-	nominate := func(sh *shard, qi int, quant bool) {
-		sc := scanFor[sh]
-		if sc == nil {
-			sc = &shardScan{sh: sh}
-			scanFor[sh] = sc
-			round = append(round, sc)
+	var scans []*shardScan
+	probed := make([]bool, len(queries))
+	if draining != nil {
+		all := make([]int, len(queries))
+		for i := range all {
+			all[i] = i
 		}
-		if quant {
-			sc.quantQ = append(sc.quantQ, qi)
-		} else {
-			sc.floatQ = append(sc.floatQ, qi)
+		for _, sh := range append(append([]*shard(nil), draining...), current...) {
+			scans = append(scans, &shardScan{sh: sh, floatQ: all})
 		}
-	}
-	for qi := range queries {
-		bq := &queries[qi]
-		pl := &plans[qi]
-		p := s.probesFor(nsSts[qi])
-		var sel []*shard
-		if perQuery {
-			ranked := s.rankedProbeCands(s.gen, bq.Vector, bq.Time, bq.Alpha, p)
-			if ranked != nil && len(ranked) > p {
-				pl.ranked = ranked
-				pl.consumed = p
-				sel = make([]*shard, p)
-				for i := range sel {
-					sel[i] = ranked[i].sh
+	} else {
+		// Per-query probe selection (the same ranking sequential
+		// probeShards uses), grouped into one scan per selected shard.
+		quantOn := s.quantized.Load()
+		scanFor := make(map[*shard]*shardScan)
+		for qi := range queries {
+			bq := &queries[qi]
+			sel := s.probeShards(s.gen, bq.Vector, bq.Time, bq.Alpha, s.probesFor(nsSts[qi]))
+			quant := false
+			if sel == nil {
+				sel = current
+			} else {
+				probed[qi], quant = true, quantOn
+				if quant {
+					s.noteQuantScan(nsSts[qi])
 				}
 			}
-		} else if sel = s.probeShards(s.gen, bq.Vector, bq.Time, bq.Alpha, p); sel != nil {
-			pl.done = true // fixed budget: no growth rounds
-		}
-		if sel == nil {
-			sel = current
-			pl.done = true
-		} else {
-			pl.probed = true
-			pl.quant = quantOn
-			if quantOn {
-				s.noteQuantScan(nsSts[qi])
-			}
-		}
-		for _, sh := range sel {
-			nominate(sh, qi, pl.quant)
-		}
-	}
-
-	// Per-query merge accumulators, fed round by round.
-	heaps := make([]worstFirst, len(queries))
-	bests := make([]map[incident.Category]Scored, len(queries))
-	for qi := range queries {
-		if queries[qi].Diverse {
-			bests[qi] = make(map[incident.Category]Scored)
-		} else {
-			heaps[qi] = make(worstFirst, 0, queries[qi].K+1)
-		}
-	}
-	runRound := func(scans []*shardScan) error {
-		results, err := parallel.Map(len(scans), 0, func(i int) (shardScanResult, error) {
-			return scans[i].sh.scanBatch(queries, scans[i].floatQ, scans[i].quantQ, ofs), nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			for qi, scs := range r.topk {
-				for _, sc := range scs {
-					heaps[qi].offer(sc, queries[qi].K)
+			for _, sh := range sel {
+				sc := scanFor[sh]
+				if sc == nil {
+					sc = &shardScan{sh: sh}
+					scanFor[sh] = sc
+					scans = append(scans, sc)
 				}
-			}
-			for qi, m := range r.best {
-				for cat, sc := range m {
-					if cur, ok := bests[qi][cat]; !ok || ranksAfter(cur, sc) {
-						bests[qi][cat] = sc
-					}
+				if quant {
+					sc.quantQ = append(sc.quantQ, qi)
+				} else {
+					sc.floatQ = append(sc.floatQ, qi)
 				}
 			}
 		}
-		return nil
 	}
-	if err := runRound(round); err != nil {
+	results, err := parallel.Map(len(scans), 0, func(i int) (shardScanResult, error) {
+		return scans[i].sh.scanBatch(queries, scans[i].floatQ, scans[i].quantQ, ofs), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Growth rounds: each still-growing query nominates its next-ranked
-	// partition while the optimistic marginal gain clears the threshold;
-	// nominated shards are again scanned once each for every nominating
-	// query.
-	for perQuery {
-		round = round[:0]
-		scanFor = make(map[*shard]*shardScan)
-		for qi := range queries {
-			pl := &plans[qi]
-			if pl.done || pl.consumed >= len(pl.ranked) {
-				pl.done = true
-				continue
-			}
-			kth, full := s.batchKth(&queries[qi], heaps[qi], bests[qi])
-			next := pl.ranked[pl.consumed]
-			if full && next.est-kth <= minGain {
-				pl.done = true
-				continue
-			}
-			nominate(next.sh, qi, pl.quant)
-			pl.consumed++
-			s.batchEscalations.Add(1)
-		}
-		if len(round) == 0 {
-			break
-		}
-		if err := runRound(round); err != nil {
-			return nil, err
-		}
-	}
-
 	for qi := range queries {
-		if queries[qi].Diverse {
-			h := make(worstFirst, 0, queries[qi].K+1)
-			for _, sc := range bests[qi] {
-				h.offer(sc, queries[qi].K)
+		bq := &queries[qi]
+		h := make(worstFirst, 0, bq.K+1)
+		if bq.Diverse {
+			best := make(map[incident.Category]Scored)
+			for _, r := range results {
+				mergeCategoryBest(best, r.best[qi])
 			}
-			out[qi] = h.drain()
+			for _, sc := range best {
+				h.offer(sc, bq.K)
+			}
 		} else {
-			out[qi] = heaps[qi].drain()
+			var seen map[string]bool
+			if draining != nil {
+				seen = make(map[string]bool, 2*bq.K)
+			}
+			for _, r := range results { // draining shards first, then current
+				for _, sc := range r.topk[qi] {
+					if seen != nil {
+						if seen[sc.Entry.ID] {
+							continue
+						}
+						seen[sc.Entry.ID] = true
+					}
+					h.offer(sc, bq.K)
+				}
+			}
 		}
+		out[qi] = h.drain()
+	}
+	if draining != nil {
+		return out, nil
 	}
 	// Feed every batched query through the same shadow-sampling hook as
 	// sequential serving — each into ITS namespace's controller — so every
@@ -605,115 +432,11 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	for qi := range queries {
 		if t := s.tunerFor(nsSts[qi]); t != nil {
 			t.observeQuery(queries[qi].Vector, queries[qi].Time, queries[qi].K, queries[qi].Alpha,
-				out[qi], plans[qi].probed, queries[qi].Diverse, bqScope(&queries[qi]))
+				out[qi], probed[qi], queries[qi].Diverse, bqScope(&queries[qi]))
 		}
 	}
 	return out, nil
 }
-
-// batchKth returns a query's current k-th-best similarity from its merge
-// accumulator, and whether it already holds k results (a query below k
-// always keeps growing).
-func (s *Sharded) batchKth(bq *BatchQuery, h worstFirst, best map[incident.Category]Scored) (float64, bool) {
-	if bq.Diverse {
-		if len(best) < bq.K {
-			return 0, false
-		}
-		kh := make(worstFirst, 0, bq.K+1)
-		for _, sc := range best {
-			kh.offer(sc, bq.K)
-		}
-		return kh[0].Similarity, true
-	}
-	if len(h) < bq.K {
-		return 0, false
-	}
-	return h[0].Similarity, true
-}
-
-// topKBatchDraining is TopKBatch with a rebalance in flight: every query
-// fans out exactly over both generations — the draining shards scanned
-// (and merged) before the current ones, duplicates collapsed by ID, the
-// same no-miss/no-double-count argument as the sequential mid-rebalance
-// path. Caller holds s.mu shared.
-func (s *Sharded) topKBatchDraining(queries []BatchQuery, draining, current []*shard) ([][]Scored, error) {
-	shards := append(append([]*shard(nil), draining...), current...)
-	all := make([]int, len(queries))
-	for i := range all {
-		all[i] = i
-	}
-	results, err := parallel.Map(len(shards), 0, func(i int) (shardScanResult, error) {
-		return shards[i].scanBatch(queries, all, nil, nil), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Scored, len(queries))
-	for qi := range queries {
-		bq := &queries[qi]
-		if bq.Diverse {
-			best := make(map[incident.Category]Scored)
-			for _, r := range results {
-				for cat, sc := range r.best[qi] {
-					if cur, ok := best[cat]; !ok || ranksAfter(cur, sc) {
-						best[cat] = sc
-					}
-				}
-			}
-			h := make(worstFirst, 0, bq.K+1)
-			for _, sc := range best {
-				h.offer(sc, bq.K)
-			}
-			out[qi] = h.drain()
-		} else {
-			seen := make(map[string]bool, 2*bq.K)
-			h := make(worstFirst, 0, bq.K+1)
-			for _, r := range results { // draining shards first, then current
-				for _, sc := range r.topk[qi] {
-					if seen[sc.Entry.ID] {
-						continue
-					}
-					seen[sc.Entry.ID] = true
-					h.offer(sc, bq.K)
-				}
-			}
-			out[qi] = h.drain()
-		}
-	}
-	return out, nil
-}
-
-// EnablePerQueryProbes opts the batch executor into per-query probe
-// budgets: each probed batch query seeds at the effective (tuner-owned or
-// manual) probe budget, then grows its own budget one partition at a time
-// while the next-ranked partition's optimistic best-similarity estimate
-// exceeds the query's current k-th result by more than minGain — so easy
-// queries stop at the seed while hard ones escalate toward full fan-out.
-// Results may then differ from sequential single-query serving (which is
-// why the mode is opt-in and the bit-identity goldens run without it);
-// the adaptive tuner's shadow sampling still measures the served batched
-// results end-to-end. minGain must be non-negative and finite; 0 grows
-// whenever any improvement looks possible.
-func (s *Sharded) EnablePerQueryProbes(minGain float64) error {
-	if math.IsNaN(minGain) || minGain < 0 {
-		return fmt.Errorf("vectordb: per-query probe gain threshold %v must be a non-negative number", minGain)
-	}
-	s.perQueryGain.Store(math.Float64bits(minGain))
-	s.perQuery.Store(true)
-	return nil
-}
-
-// DisablePerQueryProbes restores fixed-budget batch probing (the
-// bit-identical default).
-func (s *Sharded) DisablePerQueryProbes() { s.perQuery.Store(false) }
-
-// PerQueryProbes reports whether batch queries grow per-query probe
-// budgets.
-func (s *Sharded) PerQueryProbes() bool { return s.perQuery.Load() }
-
-// BatchEscalations returns how many partitions batch queries have scanned
-// beyond their seeded probe budget (EnablePerQueryProbes).
-func (s *Sharded) BatchEscalations() int { return int(s.batchEscalations.Load()) }
 
 // BatchQueries returns how many queries have been served through
 // TopKBatch.

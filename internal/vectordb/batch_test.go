@@ -42,11 +42,15 @@ func sequentialBatch(t *testing.T, idx Index, batch []BatchQuery) [][]Scored {
 	t.Helper()
 	out := make([][]Scored, len(batch))
 	for i, bq := range batch {
+		view := idx
+		if bq.Scoped {
+			view = idx.Namespace(bq.Namespace)
+		}
 		var err error
 		if bq.Diverse {
-			out[i], err = idx.TopKDiverse(bq.Vector, bq.Time, bq.K, bq.Alpha)
+			out[i], err = view.TopKDiverse(bq.Vector, bq.Time, bq.K, bq.Alpha)
 		} else {
-			out[i], err = idx.TopK(bq.Vector, bq.Time, bq.K, bq.Alpha)
+			out[i], err = view.TopK(bq.Vector, bq.Time, bq.K, bq.Alpha)
 		}
 		if err != nil {
 			t.Fatalf("sequential query %d: %v", i, err)
@@ -59,15 +63,23 @@ func sequentialBatch(t *testing.T, idx Index, batch []BatchQuery) [][]Scored {
 // every shard count and serving mode, TopKBatch over a heterogeneous
 // batch must return, per query, exactly what the sequential call returns
 // — same entries, same bitwise (distance, similarity) scores, same order.
+// The quantized-tenants mode co-batches two namespaces whose quantized
+// candidate pools differ (one namespace's overfetch escalated), so each
+// member's per-shard candidate cut must follow its own namespace factor.
 func TestTopKBatchMatchesSequential(t *testing.T) {
+	tenants := []string{"tenant-a", "tenant-b"}
 	for _, shards := range []int{1, 2, 7, 16} {
-		for _, mode := range []string{"exact", "probe", "quantized"} {
+		for _, mode := range []string{"exact", "probe", "quantized", "quantized-tenants"} {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(t *testing.T) {
 				entries, queries := clusteredCorpus(77, 400, 8, 5)
 				diversify(entries, 6)
 				sh := NewSharded(8, shards, nil)
-				for _, e := range entries {
-					must(t, sh.Add(e))
+				for i, e := range entries {
+					if mode == "quantized-tenants" {
+						must(t, sh.Namespace(tenants[i%2]).Add(e))
+					} else {
+						must(t, sh.Add(e))
+					}
 				}
 				if mode != "exact" && shards > 1 {
 					// A single shard cannot train an IVF; its "probe" cell
@@ -77,7 +89,7 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 					}
 					must(t, sh.SetProbes(2))
 				}
-				if mode == "quantized" {
+				if mode == "quantized" || mode == "quantized-tenants" {
 					// Overfetch 2 keeps the candidate cut genuinely
 					// approximate, the regime where per-query threshold state
 					// could drift between batched and sequential scans.
@@ -86,13 +98,34 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 					}
 				}
 				batch := mixedBatch(queries, entries[0].Time, 23)
+				if mode == "quantized-tenants" {
+					for _, ns := range tenants {
+						must(t, sh.SetNamespaceProbes(ns, 2))
+					}
+					// Widen tenant-b's pool to 4× while tenant-a stays at 2×.
+					b := sh.nsStateFor("tenant-b")
+					if !sh.escalateOverfetchNS(b) {
+						t.Fatal("tenant-b overfetch did not escalate")
+					}
+					if fa, fb := sh.overfetchFor(sh.nsStateFor("tenant-a")), sh.overfetchFor(b); fa != 2 || fb != 4 {
+						t.Fatalf("tenant overfetch = %d/%d, want 2/4", fa, fb)
+					}
+					for i := range batch {
+						batch[i].Namespace, batch[i].Scoped = tenants[i%2], true
+					}
+				}
 				got, err := sh.TopKBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
+				scans := sh.QuantizedScans()
 				want := sequentialBatch(t, sh, batch)
 				for i := range batch {
 					sameScored(t, fmt.Sprintf("query %d", i), got[i], want[i])
+				}
+				if mode == "quantized-tenants" && shards > 2 && (scans == 0 || sh.QuantizedScans() != 2*scans) {
+					t.Fatalf("quantized scans: batch %d, sequential %d; want equal and nonzero",
+						scans, sh.QuantizedScans()-scans)
 				}
 			})
 		}
@@ -188,107 +221,6 @@ func TestTopKBatchValidates(t *testing.T) {
 	}
 }
 
-// TestPerQueryProbesEscalation exercises the opt-in per-query budget
-// growth: with a prohibitive margin no query escalates and results equal
-// the fixed-budget batch; with margin 0 a query whose seeded selection
-// misses good partitions escalates (the counter moves) and every query's
-// per-rank similarity dominates its fixed-budget result — scanning a
-// superset of partitions can only improve the top k.
-func TestPerQueryProbesEscalation(t *testing.T) {
-	entries, queries := clusteredCorpus(13, 600, 8, 6)
-	sh := NewSharded(8, 6, nil)
-	for _, e := range entries {
-		must(t, sh.Add(e))
-	}
-	if err := sh.TrainIVF(0); err != nil {
-		t.Fatal(err)
-	}
-	must(t, sh.SetProbes(1))
-	qt := entries[0].Time
-	batch := make([]BatchQuery, 12)
-	for i := range batch {
-		batch[i] = BatchQuery{Vector: queries[i], Time: qt, K: 5, Alpha: 0.3}
-	}
-	fixed, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := sh.EnablePerQueryProbes(2); err != nil { // est ∈ (0,1]: margin 2 is unreachable
-		t.Fatal(err)
-	}
-	if !sh.PerQueryProbes() {
-		t.Fatal("PerQueryProbes not reported enabled")
-	}
-	unescalated, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.BatchEscalations(); got != 0 {
-		t.Fatalf("BatchEscalations = %d with an unreachable margin, want 0", got)
-	}
-	for i := range batch {
-		sameScored(t, fmt.Sprintf("unescalated query %d", i), unescalated[i], fixed[i])
-	}
-
-	if err := sh.EnablePerQueryProbes(0); err != nil {
-		t.Fatal(err)
-	}
-	// Hard queries: k far beyond any single partition's population, so the
-	// seeded budget cannot fill the heap and growth must engage; the easy
-	// k=5 queries ride in the same batch and stay at their seed.
-	hard := append(append([]BatchQuery(nil), batch...), BatchQuery{
-		Vector: queries[0], Time: qt, K: 150, Alpha: 0.3,
-	}, BatchQuery{
-		Vector: queries[1], Time: qt, K: 150, Alpha: 0.3, Diverse: true,
-	})
-	grown, err := sh.TopKBatch(hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.BatchEscalations(); got == 0 {
-		t.Fatal("BatchEscalations = 0 at margin 0 with underfilled k=150 queries; expected growth")
-	}
-	wantHard, err := sh.exactTopK(queries[0], qt, 150, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The underfilled query grows until every ranked partition is consumed,
-	// i.e. full fan-out: its result must match the exact oracle.
-	sameScored(t, "underfilled k=150", grown[len(batch)], wantHard)
-	for i := range batch {
-		if len(grown[i]) < len(fixed[i]) {
-			t.Fatalf("query %d: escalated result has %d entries, fixed has %d", i, len(grown[i]), len(fixed[i]))
-		}
-		for r := range fixed[i] {
-			if grown[i][r].Similarity < fixed[i][r].Similarity {
-				t.Fatalf("query %d rank %d: escalated similarity %v below fixed %v",
-					i, r, grown[i][r].Similarity, fixed[i][r].Similarity)
-			}
-		}
-	}
-
-	sh.DisablePerQueryProbes()
-	if sh.PerQueryProbes() {
-		t.Fatal("PerQueryProbes still reported enabled after disable")
-	}
-	again, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		sameScored(t, fmt.Sprintf("re-fixed query %d", i), again[i], fixed[i])
-	}
-
-	for _, bad := range []float64{-0.1, nan()} {
-		if err := sh.EnablePerQueryProbes(bad); err == nil {
-			t.Fatalf("EnablePerQueryProbes(%v) accepted", bad)
-		}
-	}
-}
-
-func nan() float64 { var z float64; return z / z }
-
 // TestTopKBatchConcurrentHammer races TopKBatch against concurrent
 // ingest and an IVF retrain (which drives a full generation swap under
 // the batch's feet). Run under -race in CI; correctness here is "no
@@ -306,9 +238,6 @@ func TestTopKBatchConcurrentHammer(t *testing.T) {
 	}
 	must(t, sh.SetProbes(1))
 	if err := sh.EnableQuantized(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.EnablePerQueryProbes(0.01); err != nil {
 		t.Fatal(err)
 	}
 	qt := entries[0].Time

@@ -3,6 +3,7 @@ package vectordb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -230,4 +231,57 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 	if got, want := db.Len(), 8+writers*perG; got != want {
 		t.Fatalf("len = %d, want %d", got, want)
 	}
+}
+
+// sortTopK is the retained full-sort reference implementation of TopK; the
+// equivalence tests hold the heap path to it.
+func (db *DB) sortTopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+	if err := db.checkQuery(query, k); err != nil {
+		return nil, err
+	}
+	scored := db.scoreAllSorted(query, qt, alpha)
+	if len(scored) > k {
+		scored = scored[:k]
+	}
+	return scored, nil
+}
+
+// sortTopKDiverse is the retained full-sort reference implementation of
+// TopKDiverse: sort everything, then greedily take the first occurrence of
+// each category.
+func (db *DB) sortTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+	if err := db.checkQuery(query, k); err != nil {
+		return nil, err
+	}
+	scored := db.scoreAllSorted(query, qt, alpha)
+	seen := make(map[incident.Category]bool)
+	out := make([]Scored, 0, k)
+	for _, s := range scored {
+		if seen[s.Entry.Category] {
+			continue
+		}
+		seen[s.Entry.Category] = true
+		out = append(out, s)
+		if len(out) == k {
+			break
+		}
+	}
+	return out, nil
+}
+
+// scoreAllSorted scores every entry, vectors materialized, in retrieval
+// order — the full-sort reference the equivalence tests hold the
+// streaming paths to.
+func (db *DB) scoreAllSorted(query []float64, qt time.Time, alpha float64) []Scored {
+	db.mu.RLock()
+	scored := make([]Scored, 0, len(db.entries))
+	for i := range db.entries {
+		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
+		e := db.entries[i]
+		e.Vector = append([]float64(nil), db.row(i)...)
+		scored = append(scored, Scored{Entry: e, Distance: d, Similarity: s})
+	}
+	db.mu.RUnlock()
+	sort.Slice(scored, func(i, j int) bool { return ranksAfter(scored[j], scored[i]) })
+	return scored
 }

@@ -280,22 +280,58 @@ func (sh *shard) scanQuantized(q *quantSidecar, query []float64, qt time.Time, w
 	return cands
 }
 
-// topKQuantized is the shard's two-stage probe scan: the int8 stage
-// collects k×overfetch candidates, then each candidate is re-scored
-// against the full-precision backing under the exact similarity and the
-// best k win. When the candidate budget covers the whole shard the result
-// is identical to the exact scan — every row is a candidate and the
-// re-rank IS the exact scan — which is the property the fuzz oracle
-// pins. A shard whose sidecar is missing or momentarily out of sync
-// (EnableQuantized racing an Add) serves full precision instead.
+// topKQuantized is the shard's two-stage probe scan for TopK; see
+// twoStageLocked.
 func (sh *shard) topKQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) []Scored {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	out, _ := sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, false)
+	return out
+}
+
+// categoryBestQuantized is the two-stage form of categoryBest; see
+// twoStageLocked.
+func (sh *shard) categoryBestQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) map[incident.Category]Scored {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	_, best := sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, true)
+	return best
+}
+
+// twoStageLocked is the shard's two-stage probe scan under a caller-held
+// shard lock: the int8 stage collects k×overfetch candidates, then each
+// candidate is re-scored against the full-precision backing under the
+// exact similarity — the best k win for a plain query (topk), the
+// per-category bests over the candidate set for a diverse one (best).
+// When the candidate budget covers the whole shard the result is
+// identical to the exact scan — every row is a candidate and the re-rank
+// IS the exact scan — which is the property the fuzz oracle pins. A shard
+// whose sidecar is missing or momentarily out of sync (EnableQuantized
+// racing an Add) serves full precision instead.
+func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope, diverse bool) (topk []Scored, best map[incident.Category]Scored) {
 	q := sh.quant
 	if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
-		return sh.topKLocked(query, qt, k, alpha, ns)
+		if diverse {
+			return nil, sh.categoryBestLocked(query, qt, alpha, ns)
+		}
+		return sh.topKLocked(query, qt, k, alpha, ns), nil
 	}
 	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
+	if diverse {
+		best = make(map[incident.Category]Scored)
+		for _, c := range cands {
+			d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
+			sc := Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}
+			if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
+				best[sc.Entry.Category] = sc
+			}
+		}
+		for cat, sc := range best {
+			sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
+			best[cat] = sc
+		}
+		return nil, best
+	}
 	h := make(worstFirst, 0, k+1)
 	for _, c := range cands {
 		d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
@@ -304,34 +340,7 @@ func (sh *shard) topKQuantized(query []float64, qt time.Time, k, overfetch int, 
 	for i := range h {
 		h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
 	}
-	return h.drain()
-}
-
-// categoryBestQuantized is the two-stage form of categoryBest: per-category
-// bests are taken over the re-ranked candidate set rather than the whole
-// shard. Identical to the exact pass whenever the candidate budget covers
-// the shard.
-func (sh *shard) categoryBestQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) map[incident.Category]Scored {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	q := sh.quant
-	if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
-		return sh.categoryBestLocked(query, qt, alpha, ns)
-	}
-	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
-	best := make(map[incident.Category]Scored)
-	for _, c := range cands {
-		d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
-		sc := Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
-		}
-	}
-	for cat, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-		best[cat] = sc
-	}
-	return best
+	return h.drain(), nil
 }
 
 // rebuildQuant retrains the shard's sidecar from its current contents

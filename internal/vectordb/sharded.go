@@ -111,13 +111,6 @@ type Sharded struct {
 	rescales  atomic.Int64
 	// quantWG tracks in-flight asynchronous sidecar rescales.
 	quantWG sync.WaitGroup
-	// perQuery gates the batch executor's per-query probe budget growth
-	// (EnablePerQueryProbes); perQueryGain holds the marginal-gain
-	// threshold as Float64bits, and batchEscalations counts shards scanned
-	// beyond the seeded budget.
-	perQuery         atomic.Bool
-	perQueryGain     atomic.Uint64
-	batchEscalations atomic.Int64
 	// batchQueries counts queries served through TopKBatch.
 	batchQueries atomic.Int64
 	// savedState carries a loaded serving-state trailer until a tuner
@@ -547,39 +540,6 @@ func (s *Sharded) countByCategoryScoped(sc scope) map[incident.Category]int {
 // scope's effective budget (root or per-namespace), so co-tenants probe
 // independently over the same ranked partitions.
 func (s *Sharded) probeShards(g *generation, query []float64, qt time.Time, alpha float64, p int) []*shard {
-	cands := s.rankedProbeCands(g, query, qt, alpha, p)
-	if cands == nil || len(cands) <= p {
-		// No probe geometry, or the budget covers every populated
-		// partition: identical to exact fan-out, so take the exact path and
-		// keep the bit-identity guarantee trivially.
-		return nil
-	}
-	sel := make([]*shard, p)
-	for i := range sel {
-		sel[i] = cands[i].sh
-	}
-	return sel
-}
-
-// probeCand is one populated partition in probe-rank order: the ranking
-// score (rank-mode dependent) plus an optimistic best-similarity estimate
-// on the similarity scale — 1/(1+d)·e^(−α·Δt) at the partition's
-// newest-entry timestamp — which is what the batch executor's per-query
-// budget growth compares against a query's current k-th result.
-type probeCand struct {
-	sh    *shard
-	score float64
-	est   float64
-}
-
-// rankedProbeCands ranks every populated partition for a probe-limited
-// query under the caller's probe budget p, or nil when probe mode cannot
-// engage at all (no budget, no IVF geometry). The caller decides how many
-// ranked partitions to consume: probeShards takes the first p when they
-// don't already cover every populated partition; the batch executor's
-// per-query growth walks further down the ranking. Ties keep ascending
-// shard index (stable sort over the ascending-index pass).
-func (s *Sharded) rankedProbeCands(g *generation, query []float64, qt time.Time, alpha float64, p int) []probeCand {
 	if p <= 0 || p >= len(g.shard) {
 		return nil
 	}
@@ -589,22 +549,36 @@ func (s *Sharded) rankedProbeCands(g *generation, query []float64, qt time.Time,
 	}
 	dists := ivf.centroidDists(query)
 	timeAware := s.probeRank.Load() == ProbeRankTimeAware && alpha != 0
-	cands := make([]probeCand, 0, len(g.shard))
+	type cand struct {
+		sh    *shard
+		score float64
+	}
+	cands := make([]cand, 0, len(g.shard))
 	for i, sh := range g.shard {
 		n, newest := sh.stats()
 		if n == 0 {
 			continue
 		}
-		days := math.Abs(qt.Sub(newest).Hours()) / 24
-		est := 1 / (1 + dists[i]) * math.Exp(-alpha*days)
 		score := -dists[i] // distance-only: nearer ranks higher
 		if timeAware {
-			score = est
+			days := math.Abs(qt.Sub(newest).Hours()) / 24
+			score = 1 / (1 + dists[i]) * math.Exp(-alpha*days)
 		}
-		cands = append(cands, probeCand{sh: sh, score: score, est: est})
+		cands = append(cands, cand{sh: sh, score: score})
 	}
+	if len(cands) <= p {
+		// The budget covers every populated partition: identical to exact
+		// fan-out, so take the exact path and keep the bit-identity
+		// guarantee trivially.
+		return nil
+	}
+	// Ties keep ascending shard index (stable sort over the ascending pass).
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
-	return cands
+	sel := make([]*shard, p)
+	for i := range sel {
+		sel[i] = cands[i].sh
+	}
+	return sel
 }
 
 // fanTopK runs the per-shard bounded-heap scan over the given shards on
@@ -747,11 +721,7 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 	best := make(map[incident.Category]Scored)
 	mergeBest := func(perShard []map[incident.Category]Scored) {
 		for _, m := range perShard {
-			for cat, sc := range m {
-				if cur, ok := best[cat]; !ok || ranksAfter(cur, sc) {
-					best[cat] = sc
-				}
-			}
+			mergeCategoryBest(best, m)
 		}
 	}
 	if draining != nil {
@@ -815,6 +785,17 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 		}
 	}
 	return out, nil
+}
+
+// mergeCategoryBest folds one shard's per-category bests into dst, keeping
+// each category's best-ranked representative — commutative, associative,
+// and idempotent under the total retrieval order.
+func mergeCategoryBest(dst, src map[incident.Category]Scored) {
+	for cat, sc := range src {
+		if cur, ok := dst[cat]; !ok || ranksAfter(cur, sc) {
+			dst[cat] = sc
+		}
+	}
 }
 
 // diverseInlineMax is the store size at or below which TopKDiverse takes

@@ -239,7 +239,7 @@ func (t *Tuner) ObservedRecall() (mean float64, samples int) {
 // mid-rebalance): TopK/TopKDiverse once per call, and TopKBatch once per
 // batch member with that member's SERVED result — so under batched
 // serving the controller's observed recall measures the batched executor
-// end-to-end, per-query probe growth included, not a sequential proxy.
+// end-to-end, not a sequential proxy.
 // probed reports whether the result came from probe-limited search; when
 // it did not, the serving path was exact and recall is 1 by construction
 // — a free sample that lets the controller shrink back down without any

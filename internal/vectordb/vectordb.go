@@ -32,8 +32,9 @@
 //
 // # Exact vs probe-limited retrieval
 //
-// The sharded store serves two contracts, chosen by Sharded.SetProbes
-// (or Options.Probes):
+// The sharded store serves two contracts, chosen by the probe budget —
+// owned by the recall-SLO tuner (Options.RecallTarget, see Adaptive
+// serving below) or pinned manually with Sharded.SetProbes:
 //
 //   - Exact (probes = 0, the default): every query searches every shard
 //     and results are BIT-IDENTICAL to the flat DB — for any shard count,
@@ -74,8 +75,8 @@
 //
 //  1. Candidate collection: walk the shard's int8 rows (8× less memory
 //     traffic than float64, integer inner loop) and keep the k×overfetch
-//     rows with the best approximate similarity (Options.Overfetch;
-//     default 4×).
+//     rows with the best approximate similarity (EnableQuantized's
+//     factor, default 4×, which the recall-SLO tuner escalates).
 //  2. Re-rank: score only those candidates against the full-precision
 //     backing under the exact similarity 1/(1+d)·e^(−α·Δt) and return the
 //     best k in the standard retrieval order.
@@ -186,26 +187,21 @@
 // decay, diversity flag) in one pass. The sharded executor inverts the
 // loop: probe selection still runs per query against the same partition
 // ranking sequential serving uses, shards are visited in the union of the
-// per-query selections, and each selected shard's backing — the columnar
-// float rows, or the int8 sidecar on the quantized path — streams ONCE
-// for every query that selected it, each maintaining its own bounded
-// heap. The scan is memory-bandwidth dominated, so the shared row stream
+// per-query selections, and each selected shard is visited ONCE under one
+// lock for every query that selected it. Full-precision members share
+// that visit's columnar row stream, each maintaining its own bounded
+// heap; the scan is memory-bandwidth dominated, so the shared stream
 // amortizes across the batch the way a blocked matmul amortizes operand
-// loads. The contract is bit-identity: because each query applies exactly
-// the sequential per-row arithmetic and consumes rows only from shards
-// its own budget selected, out[i] is BIT-IDENTICAL to serving queries[i]
+// loads. Quantized members scan per query within the shared shard visit —
+// the same two-stage scan (int8 candidates, exact re-rank) sequential
+// serving runs, at the member's own namespace overfetch factor. The
+// contract is bit-identity: because each query applies exactly the
+// sequential per-row arithmetic and consumes rows only from shards its
+// own budget selected, out[i] is BIT-IDENTICAL to serving queries[i]
 // alone — for exact fan-out, probe-limited, quantized, and mid-rebalance
 // serving alike (pinned by goldens and the probe-equivalence fuzz
-// oracle).
-//
-// EnablePerQueryProbes relaxes that contract on request: each probed
-// batch query seeds at the tuner's converged global budget and grows its
-// own budget one partition at a time while the next-ranked partition's
-// optimistic best-similarity estimate exceeds the query's current k-th
-// result by more than a configured margin — easy queries stop at the
-// seed, hard ones escalate toward full fan-out — and the tuner's shadow
-// sampling observes the served batched results, so its recall SLO
-// measures the batched path end-to-end.
+// oracle). The tuner's shadow sampling observes the served batched
+// results, so its recall SLO measures the batched path end-to-end.
 //
 // Batcher is the serving-side micro-batcher that feeds TopKBatch: a
 // time/size-bounded collector that flushes when maxBatch queries have
@@ -338,14 +334,6 @@ type Options struct {
 	// Ignored when Shards selects the flat store, unless the partitioner
 	// itself carries a shard count.
 	Partitioner Partitioner
-	// Probes opts the sharded store into probe-limited approximate
-	// serving: queries search only this many IVF partitions nearest the
-	// query (see the package comment's exact-vs-probe contract). 0 keeps
-	// exact fan-out; the knob is dormant until an IVF partitioner is
-	// routing (Sharded.TrainIVF). Ignored by the flat store, which is
-	// always exact; negative values are rejected by Sharded.SetProbes, so
-	// validate before constructing Options.
-	Probes int
 	// RecallTarget enables the recall-SLO auto-tuner on the sharded store:
 	// shadow queries measure observed recall@k and the effective probe
 	// budget is grown/shrunk to hold this target (see
@@ -360,17 +348,12 @@ type Options struct {
 	// automatically, rate-limited. 0 disables; ignored by the flat store.
 	RetrainSkew float64
 	// Quantized opts the sharded store into the two-stage int8 probe scan
-	// (see the package comment): probe-limited queries collect candidates
-	// from a per-shard scalar-quantized sidecar and re-rank them at full
-	// precision. Dormant until probe mode engages; exact fan-out is
-	// unaffected. Ignored by the flat store.
+	// (see the package comment) at the DefaultOverfetch candidate factor:
+	// probe-limited queries collect candidates from a per-shard
+	// scalar-quantized sidecar and re-rank them at full precision.
+	// Dormant until probe mode engages; exact fan-out is unaffected.
+	// Ignored by the flat store.
 	Quantized bool
-	// Overfetch is the candidate factor of the quantized stage: each
-	// probed shard keeps k×Overfetch int8-stage candidates for the exact
-	// re-rank. 0 selects DefaultOverfetch (4). Only meaningful with
-	// Quantized; negative values are rejected by Sharded.EnableQuantized,
-	// so validate before constructing Options.
-	Overfetch int
 }
 
 // NewIndex builds the Index implementation the options select: a flat DB,
@@ -378,11 +361,6 @@ type Options struct {
 func NewIndex(dim int, opts Options) Index {
 	if opts.Shards > 1 || opts.Partitioner != nil {
 		s := NewSharded(dim, opts.Shards, opts.Partitioner)
-		if opts.Probes > 0 {
-			// Cannot fail for positive values; negatives are documented as
-			// caller-validated and keep the exact default.
-			_ = s.SetProbes(opts.Probes)
-		}
 		if opts.RecallTarget > 0 || opts.RetrainSkew > 0 {
 			// Cannot fail: the only invalid shapes (out-of-range fractions,
 			// a sub-1 skew ratio) are documented as caller-validated, and
@@ -394,9 +372,7 @@ func NewIndex(dim int, opts Options) Index {
 			})
 		}
 		if opts.Quantized {
-			// Cannot fail for non-negative Overfetch, which is documented as
-			// caller-validated.
-			_ = s.EnableQuantized(opts.Overfetch)
+			_ = s.EnableQuantized(0) // cannot fail: 0 selects the default
 		}
 		return s
 	}
@@ -683,42 +659,6 @@ func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns
 	return h.drain(), nil
 }
 
-// sortTopK is the retained full-sort reference implementation of TopK; the
-// equivalence tests hold the heap path to it.
-func (db *DB) sortTopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	scored := db.scoreAllSorted(query, qt, alpha)
-	if len(scored) > k {
-		scored = scored[:k]
-	}
-	return scored, nil
-}
-
-// sortTopKDiverse is the retained full-sort reference implementation of
-// TopKDiverse: sort everything, then greedily take the first occurrence of
-// each category.
-func (db *DB) sortTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	scored := db.scoreAllSorted(query, qt, alpha)
-	seen := make(map[incident.Category]bool)
-	out := make([]Scored, 0, k)
-	for _, s := range scored {
-		if seen[s.Entry.Category] {
-			continue
-		}
-		seen[s.Entry.Category] = true
-		out = append(out, s)
-		if len(out) == k {
-			break
-		}
-	}
-	return out, nil
-}
-
 // countByCategoryScoped is CountByCategory restricted to a namespace scope.
 func (db *DB) countByCategoryScoped(ns scope) map[incident.Category]int {
 	db.mu.RLock()
@@ -795,17 +735,3 @@ func (v dbView) Save(w io.Writer) error { return v.db.Save(w) }
 func (v dbView) Load(r io.Reader) error { return v.db.Load(r) }
 
 func (v dbView) Namespace(ns string) Index { return v.db.Namespace(ns) }
-
-func (db *DB) scoreAllSorted(query []float64, qt time.Time, alpha float64) []Scored {
-	db.mu.RLock()
-	scored := make([]Scored, 0, len(db.entries))
-	for i := range db.entries {
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		e := db.entries[i]
-		e.Vector = append([]float64(nil), db.row(i)...)
-		scored = append(scored, Scored{Entry: e, Distance: d, Similarity: s})
-	}
-	db.mu.RUnlock()
-	sort.Slice(scored, func(i, j int) bool { return ranksAfter(scored[j], scored[i]) })
-	return scored
-}

@@ -189,23 +189,16 @@ type Config struct {
 	// PartitionCategory (default) or PartitionIVF, which trains a coarse
 	// quantizer from the stored vectors after each AddHistory batch.
 	Partitioner string
-	// Probes opts retrieval into probe-limited approximate serving:
-	// queries search only this many IVF partitions nearest the query
-	// instead of every shard, trading a bounded recall loss for a
-	// ~Shards/Probes scan reduction — the recall/latency knob of a
-	// production deployment serving millions of historical incidents.
-	// Requires Shards > 1 with Partitioner PartitionIVF; dormant (exact)
-	// until the quantizer trains on the first AddHistory batch. 0 keeps
-	// exact fan-out, which is bit-identical to the flat store. Mutually
-	// exclusive with RecallTarget.
-	Probes int
-	// RecallTarget enables adaptive probe serving instead of a static
-	// Probes knob: the store shadows a ShadowRate fraction of live
-	// retrievals with an exact fan-out off the hot path, measures observed
-	// recall@K, and grows/shrinks the effective probe count to hold this
-	// target (e.g. 0.95) — so one deployment config serves head and tail
-	// queries without hand-tuning. Requires Shards > 1 with Partitioner
-	// PartitionIVF. 0 disables.
+	// RecallTarget enables probe-limited approximate serving with an
+	// adaptive probe budget: queries search only the IVF partitions
+	// nearest the query instead of every shard, the store shadows a
+	// ShadowRate fraction of live retrievals with an exact fan-out off the
+	// hot path, measures observed recall@K, and grows/shrinks the probe
+	// count to hold this target (e.g. 0.95) — so one deployment config
+	// serves head and tail queries without hand-tuning. Requires Shards >
+	// 1 with Partitioner PartitionIVF; dormant (exact) until the quantizer
+	// trains on the first AddHistory batch. 0 disables, keeping exact
+	// fan-out, which is bit-identical to the flat store.
 	RecallTarget float64
 	// ShadowRate is the fraction of live retrievals shadowed for the
 	// recall SLO, in (0, 1]; 0 defaults to 0.05. Only meaningful with
@@ -219,18 +212,13 @@ type Config struct {
 	// disables.
 	RetrainSkew float64
 	// Quantized enables the two-stage quantized probe scan: probe-limited
-	// retrievals walk a per-shard int8 sidecar to collect K×Overfetch
-	// candidates, then re-rank exactly against the full-precision vectors —
-	// a ~8× smaller scan footprint per probed shard with the final ranking
-	// still computed at full precision. Requires probe-limited serving
-	// (Probes > 0 or RecallTarget > 0, with Shards > 1 and Partitioner
-	// PartitionIVF); exact fan-out never touches the sidecar.
+	// retrievals walk a per-shard int8 sidecar to collect K×4 candidates
+	// (a pool the recall tuner widens when quantization costs recall),
+	// then re-rank exactly against the full-precision vectors — a ~8×
+	// smaller scan footprint per probed shard with the final ranking still
+	// computed at full precision. Requires RecallTarget > 0; exact fan-out
+	// never touches the sidecar.
 	Quantized bool
-	// Overfetch scales the stage-one candidate pool: each probed shard
-	// contributes its K×Overfetch best quantized candidates to the exact
-	// re-rank. 0 defaults to vectordb.DefaultOverfetch (4). Only meaningful
-	// with Quantized.
-	Overfetch int
 	// AsyncLearnQueue, when positive, moves feedback-loop learning off the
 	// hot path: Feedback() verdicts enqueue onto a background ingest
 	// worker with this queue capacity instead of re-summarizing inline.
@@ -309,12 +297,10 @@ func NewSystem(fleet *Fleet, cfg Config) (*System, error) {
 		Context:         cfg.Context,
 		Shards:          cfg.Shards,
 		Partitioner:     cfg.Partitioner,
-		Probes:          cfg.Probes,
 		RecallTarget:    cfg.RecallTarget,
 		ShadowRate:      cfg.ShadowRate,
 		RetrainSkew:     cfg.RetrainSkew,
 		Quantized:       cfg.Quantized,
-		Overfetch:       cfg.Overfetch,
 		BatchMax:        cfg.BatchMax,
 		BatchWait:       cfg.BatchWait,
 		WALDir:          cfg.WALDir,

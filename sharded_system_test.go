@@ -109,11 +109,6 @@ func TestSystemAdaptiveServing(t *testing.T) {
 	if _, err := NewSystem(c.Fleet, Config{Seed: 2, RecallTarget: 0.95}); err == nil {
 		t.Fatal("RecallTarget without an IVF sharded store must fail")
 	}
-	if _, err := NewSystem(c.Fleet, Config{
-		Seed: 2, Shards: 7, Partitioner: PartitionIVF, RecallTarget: 0.95, Probes: 2,
-	}); err == nil {
-		t.Fatal("RecallTarget and Probes together must fail")
-	}
 }
 
 // TestSystemAsyncLearnQueue exercises the Config.AsyncLearnQueue wiring:
