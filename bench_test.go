@@ -8,17 +8,20 @@ package rcacopilot
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/embed/fasttext"
 	"repro/internal/eval"
 	"repro/internal/handler"
 	"repro/internal/incident"
 	"repro/internal/llm/simgpt"
 	"repro/internal/parallel"
 	"repro/internal/prompt"
+	"repro/internal/tokenize"
 	"repro/internal/transport"
 )
 
@@ -348,6 +351,7 @@ func BenchmarkLLMSummarization(b *testing.B) {
 // (embed, retrieve, prompt, parse) against a 200-incident history.
 func BenchmarkPrediction(b *testing.B) {
 	cop, inc := benchIncident(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cop.Predict(inc); err != nil {
@@ -363,7 +367,27 @@ func BenchmarkFastTextDocVector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	text := env.Test[0].DiagnosticText()
+	benchDocVector(b, ft, env.Test[0].DiagnosticText())
+}
+
+// BenchmarkFastTextDocVectorOOV measures the cold path: the same document
+// with every word made unseen, so each one is composed from its character
+// n-gram buckets.
+func BenchmarkFastTextDocVectorOOV(b *testing.B) {
+	env := sharedBenchEnv(b)
+	ft, _, err := env.FastText()
+	if err != nil {
+		b.Fatal(err)
+	}
+	words := tokenize.Words(env.Test[0].DiagnosticText())
+	for i, w := range words {
+		words[i] = w + "qz"
+	}
+	benchDocVector(b, ft, strings.Join(words, " "))
+}
+
+func benchDocVector(b *testing.B, ft *fasttext.Model, text string) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := ft.DocVector(text); len(v) == 0 {

@@ -3,8 +3,6 @@ package fasttext
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"repro/internal/tokenize"
 )
@@ -32,37 +30,9 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	// Reuse the skip-gram vocabulary/embedding machinery, but initialize
-	// input vectors only — training is driven by the classification loss.
-	m := &Model{cfg: cfg, vocab: make(map[string]int)}
-	freq := make(map[string]int)
-	docs := make([][]string, len(texts))
-	for i, doc := range texts {
-		docs[i] = tokenize.Words(doc)
-		for _, w := range docs[i] {
-			freq[w]++
-		}
-	}
-	words := make([]string, 0, len(freq))
-	for w, c := range freq {
-		if c >= cfg.MinCount {
-			words = append(words, w)
-		}
-	}
-	sort.Strings(words)
-	for i, w := range words {
-		m.vocab[w] = i
-	}
-	m.words = words
-	m.counts = make([]int, len(words))
-	for i, w := range words {
-		m.counts[i] = freq[w]
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m.in = make([][]float64, len(words)+cfg.Buckets)
-	for i := range m.in {
-		m.in[i] = randomVector(rng, cfg.Dim)
-	}
+	// Share the skip-gram vocabulary and input matrix; training is driven
+	// by the classification loss, so there are no output vectors.
+	m, docs, rng := newModel(texts, cfg)
 
 	c := &Classifier{model: m, lindex: make(map[string]int)}
 	for _, l := range labels {
@@ -76,12 +46,20 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 		c.w[i] = make([]float64, cfg.Dim)
 	}
 
-	// Pre-compute per-document input rows.
+	// Pre-compute per-document input rows. Words below MinCount are not in
+	// the vocabulary but still train their n-gram buckets.
 	docInputs := make([][][]int, len(docs))
+	var runes []rune
 	for i, ws := range docs {
 		rows := make([][]int, 0, len(ws))
 		for _, w := range ws {
-			rows = append(rows, m.inputIndices(w))
+			if id, ok := m.vocab[w]; ok {
+				rows = append(rows, m.rows[id])
+				continue
+			}
+			var oov []int
+			oov, runes = m.appendBuckets(nil, []byte(w), runes)
+			rows = append(rows, oov)
 		}
 		docInputs[i] = rows
 	}
@@ -123,7 +101,7 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 			for _, row := range rows {
 				rowScale := scale / float64(len(row))
 				for _, idx := range row {
-					v := m.in[idx]
+					v := m.row(idx)
 					for i := range v {
 						v[i] += grad[i] * rowScale
 					}
@@ -131,6 +109,7 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 			}
 		}
 	}
+	m.seal()
 	return c, nil
 }
 
@@ -179,16 +158,25 @@ func (c *Classifier) Labels() []string { return append([]string(nil), c.labels..
 
 // Predict returns the most probable label for the text and its probability.
 func (c *Classifier) Predict(text string) (string, float64) {
-	ws := tokenize.Words(text)
-	if len(ws) == 0 {
+	// The mean of the words' composed vectors, as embedRows computes it
+	// during training.
+	hidden := make([]float64, c.model.cfg.Dim)
+	var s scratch
+	n := 0
+	for w := range tokenize.Scan(text) {
+		vec, _ := c.model.embedWord(w, &s)
+		for i := range hidden {
+			hidden[i] += vec[i]
+		}
+		n++
+	}
+	if n == 0 {
 		return c.labels[0], 1.0 / float64(len(c.labels))
 	}
-	rows := make([][]int, 0, len(ws))
-	for _, w := range ws {
-		rows = append(rows, c.model.inputIndices(w))
+	scale := 1.0 / float64(n)
+	for i := range hidden {
+		hidden[i] *= scale
 	}
-	hidden := make([]float64, c.model.cfg.Dim)
-	c.embedRows(rows, hidden)
 	probs := make([]float64, len(c.labels))
 	c.softmax(hidden, probs)
 	best, bestP := 0, -1.0

@@ -14,11 +14,10 @@ package fasttext
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
+	"unicode/utf8"
 
 	"repro/internal/tokenize"
 )
@@ -32,7 +31,7 @@ type Config struct {
 	MinCount   int     // minimum word frequency for the vocabulary (default 2)
 	Buckets    int     // hash buckets for char n-grams (default 1<<16)
 	MinN       int     // smallest char n-gram (default 3)
-	MaxN       int     // largest char n-gram (default 5)
+	MaxN       int     // largest char n-gram (default max(MinN, 5))
 	LR         float64 // initial learning rate (default 0.05)
 	Seed       int64   // RNG seed (default 1)
 }
@@ -60,7 +59,7 @@ func (c Config) withDefaults() Config {
 		c.MinN = 3
 	}
 	if c.MaxN < c.MinN {
-		c.MaxN = 5
+		c.MaxN = max(c.MinN, 5)
 	}
 	if c.LR <= 0 {
 		c.LR = 0.05
@@ -72,24 +71,30 @@ func (c Config) withDefaults() Config {
 }
 
 // Model is a trained FastText embedding model.
+//
+// A Model is immutable once TrainSkipgram or TrainSupervised returns it:
+// every field is written only during training, which is what lets each
+// vocabulary word's vector and weight be composed once up front. A trained
+// Model is therefore safe for concurrent reads (DocVector, WordVector,
+// Similarity) from the batch pipeline and the parallel eval harness.
 type Model struct {
 	cfg    Config
 	vocab  map[string]int // word -> index
 	words  []string       // index -> word
 	counts []int          // index -> corpus frequency
-	// total is the sum of counts, computed once on first use. The sync.Once
-	// (rather than a plain lazy assignment) keeps a trained Model safe for
-	// concurrent DocVector calls from the batch pipeline and the parallel
-	// eval harness.
-	total     int
-	totalOnce sync.Once
 
-	// in holds input vectors: words first, then n-gram buckets.
-	in [][]float64
-	// out holds output (context) vectors, one per vocabulary word.
-	out [][]float64
+	// in holds the input vectors, Dim floats per row: words first, then
+	// n-gram buckets.
+	in []float64
+	// rows[id] lists the input rows composing vocabulary word id: the
+	// word's own row, then its n-gram buckets. Only training reads it;
+	// seal drops it.
+	rows [][]int
 
-	negTable []int // unigram^0.75 sampling table
+	// vecs holds each vocabulary word's composed input vector (Dim floats
+	// per word) and weights its SIF weight, both filled by seal.
+	vecs    []float64
+	weights []float64
 }
 
 // Dim returns the embedding dimensionality.
@@ -98,13 +103,19 @@ func (m *Model) Dim() int { return m.cfg.Dim }
 // VocabSize returns the number of in-vocabulary words.
 func (m *Model) VocabSize() int { return len(m.words) }
 
-// TrainSkipgram trains a FastText model over the corpus (one document per
-// string). Training is deterministic for a given config.
-func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	m := &Model{cfg: cfg, vocab: make(map[string]int)}
+// row returns input row idx.
+func (m *Model) row(idx int) []float64 {
+	d := m.cfg.Dim
+	return m.in[idx*d : (idx+1)*d : (idx+1)*d]
+}
 
-	// Build the vocabulary.
+// newModel tokenizes the corpus, keeps the words seen at least MinCount
+// times as the sorted vocabulary, records each vocabulary word's input
+// rows, and draws the input matrix from a generator seeded with cfg.Seed.
+// It returns the tokenized documents and the generator, from which
+// training continues.
+func newModel(corpus []string, cfg Config) (*Model, [][]string, *rand.Rand) {
+	m := &Model{cfg: cfg, vocab: make(map[string]int)}
 	freq := make(map[string]int)
 	docs := make([][]string, len(corpus))
 	for i, doc := range corpus {
@@ -120,30 +131,67 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 		}
 	}
 	sort.Strings(words)
-	if len(words) == 0 {
-		return nil, fmt.Errorf("fasttext: empty vocabulary (corpus too small for MinCount=%d)", cfg.MinCount)
-	}
 	for i, w := range words {
 		m.vocab[w] = i
 	}
 	m.words = words
 	m.counts = make([]int, len(words))
+	m.rows = make([][]int, len(words))
+	var buf []byte
+	var runes []rune
 	for i, w := range words {
 		m.counts[i] = freq[w]
+		buf = append(buf[:0], w...)
+		m.rows[i], runes = m.appendBuckets([]int{i}, buf, runes)
 	}
 
-	// Allocate vectors: words + n-gram buckets in the input matrix.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	total := len(words) + cfg.Buckets
-	m.in = make([][]float64, total)
+	m.in = make([]float64, (len(words)+cfg.Buckets)*cfg.Dim)
+	bound := 1.0 / float64(cfg.Dim)
 	for i := range m.in {
-		m.in[i] = randomVector(rng, cfg.Dim)
+		m.in[i] = (rng.Float64()*2 - 1) * bound
 	}
-	m.out = make([][]float64, len(words))
-	for i := range m.out {
-		m.out[i] = make([]float64, cfg.Dim) // zeros, per word2vec convention
+	return m, docs, rng
+}
+
+// seal finishes training: it composes every vocabulary word's input
+// vector and SIF weight, and drops the row lists only training needs.
+func (m *Model) seal() {
+	d := m.cfg.Dim
+	m.vecs = make([]float64, len(m.words)*d)
+	for id, rows := range m.rows {
+		m.composeInput(rows, m.vecs[id*d:(id+1)*d])
 	}
-	m.buildNegTable()
+	m.rows = nil
+
+	total := 0
+	for _, c := range m.counts {
+		total += c
+	}
+	if total == 0 {
+		total = 1
+	}
+	m.weights = make([]float64, len(m.words))
+	for id, w := range m.words {
+		m.weights[id] = sifWeight([]byte(w), float64(m.counts[id])/float64(total))
+	}
+}
+
+// TrainSkipgram trains a FastText model over the corpus (one document per
+// string). Training is deterministic for a given config.
+func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
+	cfg = cfg.withDefaults()
+	m, docs, rng := newModel(corpus, cfg)
+	if len(m.words) == 0 {
+		return nil, fmt.Errorf("fasttext: empty vocabulary (corpus too small for MinCount=%d)", cfg.MinCount)
+	}
+	// Output (context) vectors start at zero, per the word2vec convention.
+	// They and the negative-sampling table are dropped after training.
+	out := make([][]float64, len(m.words))
+	for i := range out {
+		out[i] = make([]float64, cfg.Dim)
+	}
+	negTable := buildNegTable(m.counts)
 
 	// Convert docs to index sequences (OOV dropped during training).
 	seqs := make([][]int, len(docs))
@@ -174,7 +222,7 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 				}
 				step++
 				window := 1 + rng.Intn(cfg.Window)
-				inputs := m.inputIndices(m.words[center])
+				inputs := m.rows[center]
 				m.composeInput(inputs, hidden)
 				for i := range grad {
 					grad[i] = 0
@@ -186,20 +234,20 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 						continue
 					}
 					target := seq[cpos]
-					m.updatePair(hidden, grad, target, 1, lr)
+					updatePair(hidden, grad, out[target], 1, lr)
 					for n := 0; n < cfg.NegSamples; n++ {
-						neg := m.negTable[rng.Intn(len(m.negTable))]
+						neg := negTable[rng.Intn(len(negTable))]
 						if neg == target {
 							continue
 						}
-						m.updatePair(hidden, grad, neg, 0, lr)
+						updatePair(hidden, grad, out[neg], 0, lr)
 					}
 					changed = true
 				}
 				if changed {
 					scale := 1.0 / float64(len(inputs))
 					for _, idx := range inputs {
-						v := m.in[idx]
+						v := m.row(idx)
 						for i := range v {
 							v[i] += grad[i] * scale
 						}
@@ -208,13 +256,13 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 			}
 		}
 	}
+	m.seal()
 	return m, nil
 }
 
-// updatePair applies one (hidden, output-word) SGD step with label 1
+// updatePair applies one (hidden, output-vector) SGD step with label 1
 // (positive) or 0 (negative), accumulating the input-side gradient.
-func (m *Model) updatePair(hidden, grad []float64, target int, label float64, lr float64) {
-	ov := m.out[target]
+func updatePair(hidden, grad, ov []float64, label float64, lr float64) {
 	dot := 0.0
 	for i := range hidden {
 		dot += hidden[i] * ov[i]
@@ -236,72 +284,82 @@ func sigmoid(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
-func randomVector(rng *rand.Rand, dim int) []float64 {
-	v := make([]float64, dim)
-	bound := 1.0 / float64(dim)
-	for i := range v {
-		v[i] = (rng.Float64()*2 - 1) * bound
-	}
-	return v
-}
-
-// buildNegTable fills the unigram^0.75 negative-sampling table.
-func (m *Model) buildNegTable() {
+// buildNegTable returns the unigram^0.75 negative-sampling table.
+func buildNegTable(counts []int) []int {
 	const tableSize = 1 << 17
-	m.negTable = make([]int, 0, tableSize)
+	table := make([]int, 0, tableSize)
 	var z float64
-	for _, c := range m.counts {
+	for _, c := range counts {
 		z += math.Pow(float64(c), 0.75)
 	}
-	for id, c := range m.counts {
+	for id, c := range counts {
 		n := int(math.Ceil(math.Pow(float64(c), 0.75) / z * tableSize))
 		for i := 0; i < n; i++ {
-			m.negTable = append(m.negTable, id)
+			table = append(table, id)
 		}
 	}
-	if len(m.negTable) == 0 {
-		m.negTable = []int{0}
+	if len(table) == 0 {
+		table = []int{0}
 	}
+	return table
 }
 
-// ngrams returns the character n-grams of a word wrapped in boundary
-// markers, per the FastText paper.
-func (m *Model) ngrams(w string) []string {
-	wrapped := "<" + w + ">"
-	rs := []rune(wrapped)
-	var out []string
+// FNV-1a, 32-bit.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// appendBuckets appends the hashed n-gram buckets composing word w to
+// dst, which holds the word's own row if it is in the vocabulary and is
+// empty otherwise. The n-grams are the MinN..MaxN-rune windows of "<w>",
+// per the FastText paper, except "<w>" itself, which the word id stands
+// for; if that leaves dst empty, the bucket of "<w>" is appended instead.
+// Each n-gram hashes as FNV-1a over the UTF-8 encoding of its runes, so an
+// invalid byte of w hashes as U+FFFD, while the fallback hashes the raw
+// bytes of "<w>". runes is scratch space; the grown buffer is returned for
+// reuse.
+func (m *Model) appendBuckets(dst []int, w []byte, runes []rune) ([]int, []rune) {
+	runes = append(runes[:0], '<')
+	for _, r := range string(w) {
+		runes = append(runes, r)
+	}
+	runes = append(runes, '>')
+	// A window over all of "<w>" re-encodes to "<w>" only if w is valid
+	// UTF-8; otherwise it is an ordinary n-gram.
+	whole := len(runes)
+	if !utf8.Valid(w) {
+		whole = -1
+	}
+	var enc [utf8.UTFMax]byte
 	for n := m.cfg.MinN; n <= m.cfg.MaxN; n++ {
-		for i := 0; i+n <= len(rs); i++ {
-			g := string(rs[i : i+n])
-			if g == wrapped {
-				continue // the full word is handled by its word id
+		if n == whole {
+			continue
+		}
+		for i := 0; i+n <= len(runes); i++ {
+			h := uint32(fnvOffset32)
+			for _, r := range runes[i : i+n] {
+				for _, b := range enc[:utf8.EncodeRune(enc[:], r)] {
+					h = (h ^ uint32(b)) * fnvPrime32
+				}
 			}
-			out = append(out, g)
+			dst = append(dst, m.hashRow(h))
 		}
 	}
-	return out
+	if len(dst) == 0 {
+		h := uint32(fnvOffset32)
+		h = (h ^ '<') * fnvPrime32
+		for _, b := range w {
+			h = (h ^ uint32(b)) * fnvPrime32
+		}
+		dst = append(dst, m.hashRow((h^'>')*fnvPrime32))
+	}
+	return dst, runes
 }
 
-func (m *Model) bucket(gram string) int {
-	h := fnv.New32a()
-	h.Write([]byte(gram))
-	return len(m.words) + int(h.Sum32())%m.cfg.Buckets
-}
-
-// inputIndices returns the input-matrix rows composing a word's vector:
-// its word id (if in vocabulary) plus its hashed n-gram buckets.
-func (m *Model) inputIndices(w string) []int {
-	var idx []int
-	if id, ok := m.vocab[w]; ok {
-		idx = append(idx, id)
-	}
-	for _, g := range m.ngrams(w) {
-		idx = append(idx, m.bucket(g))
-	}
-	if len(idx) == 0 {
-		idx = append(idx, m.bucket("<"+w+">"))
-	}
-	return idx
+// hashRow maps an n-gram hash to its input row.
+func (m *Model) hashRow(h uint32) int {
+	return len(m.words) + int(h%uint32(m.cfg.Buckets))
 }
 
 // composeInput writes the mean of the input rows into dst.
@@ -310,7 +368,7 @@ func (m *Model) composeInput(indices []int, dst []float64) {
 		dst[i] = 0
 	}
 	for _, idx := range indices {
-		v := m.in[idx]
+		v := m.row(idx)
 		for i := range dst {
 			dst[i] += v[i]
 		}
@@ -319,6 +377,30 @@ func (m *Model) composeInput(indices []int, dst []float64) {
 	for i := range dst {
 		dst[i] *= scale
 	}
+}
+
+// scratch is the reusable working memory for composing out-of-vocabulary
+// words, one per embedding call so concurrent readers share nothing.
+type scratch struct {
+	rows  []int
+	runes []rune
+	vec   []float64
+}
+
+// embedWord returns word w's input vector and SIF weight. A vocabulary
+// word reads the tables seal filled; any other word is composed from its
+// n-gram buckets into s.vec, which the next call overwrites.
+func (m *Model) embedWord(w []byte, s *scratch) ([]float64, float64) {
+	if id, ok := m.vocab[string(w)]; ok {
+		d := m.cfg.Dim
+		return m.vecs[id*d : (id+1)*d], m.weights[id]
+	}
+	if s.vec == nil {
+		s.vec = make([]float64, m.cfg.Dim)
+	}
+	s.rows, s.runes = m.appendBuckets(s.rows[:0], w, s.runes)
+	m.composeInput(s.rows, s.vec)
+	return s.vec, sifWeight(w, 0)
 }
 
 // WordVector returns the embedding of a word. Out-of-vocabulary words are
@@ -331,15 +413,18 @@ func (m *Model) WordVector(w string) []float64 {
 		word = ws[0]
 	}
 	v := make([]float64, m.cfg.Dim)
-	m.composeInput(m.inputIndices(word), v)
+	s := scratch{vec: v}
+	vec, _ := m.embedWord([]byte(word), &s)
+	copy(v, vec)
 	return v
 }
 
-// sifWeight returns the smooth-inverse-frequency weight of a word: rare,
-// information-bearing tokens (exception names, distinctive counters) weigh
-// near 1, while corpus boilerplate (machine names, table headers) is damped
-// toward 0. Out-of-vocabulary words take full weight.
-func (m *Model) sifWeight(w string) float64 {
+// sifWeight returns the smooth-inverse-frequency weight of a word with
+// corpus probability p: rare, information-bearing tokens (exception names,
+// distinctive counters) weigh near 1, while corpus boilerplate (machine
+// names, table headers) is damped toward 0. Out-of-vocabulary words (p = 0)
+// take full weight.
+func sifWeight(w []byte, p float64) float64 {
 	const a = 1e-3
 	// Pure numbers (counter values, PIDs, timestamps) are semantic noise:
 	// their char-n-gram vectors are arbitrary and they never repeat, so
@@ -347,36 +432,22 @@ func (m *Model) sifWeight(w string) float64 {
 	if allDigits(w) {
 		return 0.02
 	}
-	id, ok := m.vocab[w]
-	if !ok {
+	if p == 0 {
 		return 1
 	}
-	p := float64(m.counts[id]) / float64(m.totalTokens())
 	return a / (a + p)
 }
 
-func allDigits(w string) bool {
-	if w == "" {
+func allDigits(w []byte) bool {
+	if len(w) == 0 {
 		return false
 	}
-	for _, r := range w {
-		if r < '0' || r > '9' {
+	for _, b := range w {
+		if b < '0' || b > '9' {
 			return false
 		}
 	}
 	return true
-}
-
-func (m *Model) totalTokens() int {
-	m.totalOnce.Do(func() {
-		for _, c := range m.counts {
-			m.total += c
-		}
-		if m.total == 0 {
-			m.total = 1
-		}
-	})
-	return m.total
 }
 
 // DocVector embeds a document as the smooth-inverse-frequency weighted mean
@@ -386,17 +457,12 @@ func (m *Model) totalTokens() int {
 // from drowning the root-cause-bearing vocabulary.
 func (m *Model) DocVector(text string) []float64 {
 	v := make([]float64, m.cfg.Dim)
-	ws := tokenize.Words(text)
-	if len(ws) == 0 {
-		return v
-	}
-	tmp := make([]float64, m.cfg.Dim)
+	var s scratch
 	var totalW float64
-	for _, w := range ws {
-		weight := m.sifWeight(w)
-		m.composeInput(m.inputIndices(w), tmp)
+	for w := range tokenize.Scan(text) {
+		vec, weight := m.embedWord(w, &s)
 		for i := range v {
-			v[i] += tmp[i] * weight
+			v[i] += vec[i] * weight
 		}
 		totalW += weight
 	}

@@ -2,6 +2,8 @@ package fasttext
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -242,4 +244,35 @@ func TestEuclideanProperties(t *testing.T) {
 	if err := quick.Check(triangle, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentDocVector reads one trained model from several goroutines
+// at once (run under -race): the precomposed tables are shared read-only
+// and each call keeps its own scratch space.
+func TestConcurrentDocVector(t *testing.T) {
+	m, err := TrainSkipgram(topicCorpus(), smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := append(topicCorpus()[:10], "socketeer 12345 é \xff unseen tokens")
+	want := make([][]float64, len(docs))
+	for i, d := range docs {
+		want[i] = m.DocVector(d)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i, d := range docs {
+					if got := m.DocVector(d); !slices.Equal(got, want[i]) {
+						t.Errorf("concurrent DocVector(%q) differs from sequential", d)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

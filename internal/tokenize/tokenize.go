@@ -10,9 +10,11 @@
 package tokenize
 
 import (
+	"iter"
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Words splits text into lowercase word tokens. Letters and digits are
@@ -20,27 +22,44 @@ import (
 // single tokens so identifiers like "11001" survive.
 func Words(text string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
+	for w := range Scan(text) {
+		out = append(out, string(w))
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
-		}
-	}
-	flush()
 	return out
 }
 
+// Scan yields the words of text exactly as Words splits and lowercases
+// them, without allocating a string per word: each word is yielded in a
+// buffer the next iteration overwrites, so copy it to keep it.
+func Scan(text string) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		var buf []byte
+		for _, r := range text {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				continue
+			}
+			if len(buf) > 0 {
+				if !yield(buf) {
+					return
+				}
+				buf = buf[:0]
+			}
+		}
+		if len(buf) > 0 {
+			yield(buf)
+		}
+	}
+}
+
 // WordCount returns the number of word tokens in text.
-func WordCount(text string) int { return len(Words(text)) }
+func WordCount(text string) int {
+	n := 0
+	for range Scan(text) {
+		n++
+	}
+	return n
+}
 
 // Sentences splits text into sentence-ish units on newlines and on terminal
 // punctuation followed by whitespace, so dotted identifiers ("Transport.exe",
@@ -241,9 +260,8 @@ func (b *BPE) NumMerges() int { return len(b.ranks) }
 // vocabulary, using the ~1.3 tokens/word ratio typical of English prose.
 // The pipeline uses it only before a corpus-trained BPE is available.
 func EstimateTokens(text string) int {
-	words := Words(text)
 	n := 0
-	for _, w := range words {
+	for w := range Scan(text) {
 		n += 1 + len(w)/6
 	}
 	return n

@@ -32,6 +32,19 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+func TestScanStopsEarly(t *testing.T) {
+	var got []string
+	for w := range Scan("Winsock ERROR 11001, port exhausted") {
+		got = append(got, string(w))
+		if len(got) == 2 {
+			break
+		}
+	}
+	if want := []string{"winsock", "error"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scan with break = %v, want %v", got, want)
+	}
+}
+
 func TestSentences(t *testing.T) {
 	in := "Probe failed. Host unknown!\nTotal count 15276? trailing"
 	got := Sentences(in)
