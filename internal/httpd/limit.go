@@ -110,10 +110,10 @@ type teamState struct {
 
 // TeamStats is one team's admission accounting snapshot.
 type TeamStats struct {
-	Team         string  `json:"team"`
-	Accepted     uint64  `json:"accepted"`
-	RejectedRate uint64  `json:"rejectedRate"`
-	RejectedLoad uint64  `json:"rejectedLoad"`
+	Team         string `json:"team"`
+	Accepted     uint64 `json:"accepted"`
+	RejectedRate uint64 `json:"rejectedRate"`
+	RejectedLoad uint64 `json:"rejectedLoad"`
 	// Queued counts admissions that waited for a slot (QueueDepth > 0);
 	// waits that end in preemption or timeout also count here, plus in
 	// RejectedLoad.

@@ -7,24 +7,25 @@ import (
 )
 
 // RawTokens splits text into tokens preserving case, so CamelCase exception
-// names survive for keyword synthesis.
+// names survive for keyword synthesis. Tokens are substrings of text: runs
+// of letters and digits, with every other rune (invalid UTF-8 included) a
+// separator.
 func RawTokens(text string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range text {
+	start := -1
+	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(r)
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			out = append(out, text[start:i])
+			start = -1
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, text[start:])
+	}
 	return out
 }
 

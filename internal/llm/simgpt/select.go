@@ -3,7 +3,6 @@ package simgpt
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -17,17 +16,18 @@ type option struct {
 	category string
 }
 
-var optionLineRe = regexp.MustCompile(`^([A-Z]): (.*)$`)
-
 // parsePredictionPrompt extracts the Input section and the lettered options
-// from a Figure 9 prompt.
+// from a Figure 9 prompt. An option starts on a line that begins with a
+// capital letter, a colon and a space ("B: ..."); lines after it up to the
+// next option continue its body.
 func parsePredictionPrompt(prompt string) (input string, opts []option) {
-	lines := strings.Split(prompt, "\n")
 	var inOptions bool
 	var cur *option
 	var inputLines []string
 	var inInput bool
-	for _, line := range lines {
+	for rest, more := prompt, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		switch {
 		case strings.HasPrefix(line, "Input:"):
 			inInput = true
@@ -44,8 +44,8 @@ func parsePredictionPrompt(prompt string) (input string, opts []option) {
 			continue
 		}
 		if inOptions {
-			if m := optionLineRe.FindStringSubmatch(line); m != nil {
-				opts = append(opts, option{letter: m[1], body: m[2]})
+			if len(line) >= 3 && 'A' <= line[0] && line[0] <= 'Z' && line[1] == ':' && line[2] == ' ' {
+				opts = append(opts, option{letter: line[:1], body: line[3:]})
 				cur = &opts[len(opts)-1]
 			} else if cur != nil {
 				cur.body += " " + strings.TrimSpace(line)
@@ -109,58 +109,54 @@ func (c *Client) selectOption(prompt string, temperature float64) string {
 // identifiers are long) with its prompt-local rarity — vocabulary shared by
 // every option (telemetry boilerplate) cannot discriminate between them and
 // so carries almost no weight, mirroring how attention contrasts options.
+//
+// Tokens are interned once per call; every document is then a list of
+// distinct token IDs in first-occurrence order, and each sum runs in that
+// order, so the scores are bit-reproducible.
 func scoreOptions(input string, opts []option) []float64 {
-	docs := make([]map[string]bool, 0, len(opts)+1)
-	inputSet := tokenSet(input)
-	docs = append(docs, inputSet)
-	optSets := make([]map[string]bool, len(opts))
+	var v vocab
+	inputDoc := v.doc(input)
+	optDocs := make([][]int32, len(opts))
 	for i, o := range opts {
 		if strings.HasPrefix(o.body, "Unseen incident") {
 			continue
 		}
-		optSets[i] = tokenSet(o.body)
-		docs = append(docs, optSets[i])
+		optDocs[i] = v.doc(o.body)
 	}
-	df := make(map[string]int)
-	for _, d := range docs {
-		for tok := range d {
-			df[tok]++
-		}
-	}
-	n := float64(len(docs))
-	weight := func(tok string) float64 {
-		idf := math.Log(1 + n/float64(df[tok]))
-		w := math.Sqrt(float64(len(tok))) * idf * idf
+	// w2[id] is the squared weight of token id.
+	n := float64(v.ndoc)
+	w2 := make([]float64, len(v.toks))
+	for id, tk := range v.toks {
+		idf := math.Log(1 + n/float64(tk.df))
+		w := math.Sqrt(float64(tk.length)) * idf * idf
 		// Instance details — counters, PIDs, machine names — are unique to
 		// every incident but carry no root-cause signal; a competent reader
 		// discounts them rather than treating them as rare evidence.
-		if hasDigit(tok) {
+		if tk.digit {
 			w *= 0.15
 		}
-		return w
+		w2[id] = w * w
 	}
-	norm := func(set map[string]bool) float64 {
-		var s float64
-		for tok := range set {
-			w := weight(tok)
-			s += w * w
-		}
-		return math.Sqrt(s)
+	inInput := make([]bool, len(v.toks))
+	var inSq float64
+	for _, id := range inputDoc {
+		inInput[id] = true
+		inSq += w2[id]
 	}
-	inNorm := norm(inputSet)
+	inNorm := math.Sqrt(inSq)
 	scores := make([]float64, len(opts))
-	for i, set := range optSets {
-		if set == nil {
+	for i, doc := range optDocs {
+		if doc == nil {
 			continue
 		}
-		var dot float64
-		for tok := range set {
-			if inputSet[tok] {
-				w := weight(tok)
-				dot += w * w
+		var dot, sq float64
+		for _, id := range doc {
+			sq += w2[id]
+			if inInput[id] {
+				dot += w2[id]
 			}
 		}
-		d := inNorm * norm(set)
+		d := inNorm * math.Sqrt(sq)
 		if d > 0 {
 			scores[i] = dot / d
 		}
@@ -168,14 +164,48 @@ func scoreOptions(input string, opts []option) []float64 {
 	return scores
 }
 
-func tokenSet(text string) map[string]bool {
-	set := make(map[string]bool)
-	for _, w := range tokenize.Words(text) {
-		if len(w) >= 3 {
-			set[w] = true
+// vocab interns the scoring tokens (words of at least three bytes) of one
+// scoreOptions call.
+type vocab struct {
+	ids  map[string]int32
+	toks []tokenStats
+	ndoc int32 // documents read so far
+}
+
+// tokenStats is what a token's weight depends on.
+type tokenStats struct {
+	df      int32 // documents containing the token
+	lastDoc int32 // 1 + index of the last document that counted it
+	length  int
+	digit   bool
+}
+
+// doc returns the distinct scoring tokens of text in first-occurrence
+// order, counting each once toward its document frequency. The result is
+// non-nil even for a text without tokens.
+func (v *vocab) doc(text string) []int32 {
+	if v.ids == nil {
+		v.ids = make(map[string]int32)
+	}
+	v.ndoc++
+	out := []int32{}
+	for w := range tokenize.Scan(text) {
+		if len(w) < 3 {
+			continue
+		}
+		id, ok := v.ids[string(w)]
+		if !ok {
+			id = int32(len(v.toks))
+			v.ids[string(w)] = id
+			v.toks = append(v.toks, tokenStats{length: len(w), digit: hasDigit(w)})
+		}
+		if tk := &v.toks[id]; tk.lastDoc != v.ndoc {
+			tk.lastDoc = v.ndoc
+			tk.df++
+			out = append(out, id)
 		}
 	}
-	return set
+	return out
 }
 
 // explainMatch names the shared distinctive vocabulary that drove the
@@ -202,18 +232,21 @@ func (c *Client) explainUnseen(input, keyword string) string {
 // sharedSignals returns up to n distinctive tokens appearing in both texts.
 func sharedSignals(a, b string, n int) []string {
 	inB := make(map[string]bool)
-	for _, w := range tokenize.Words(b) {
-		inB[w] = true
+	for w := range tokenize.Scan(b) {
+		if !inB[string(w)] {
+			inB[string(w)] = true
+		}
 	}
 	seen := make(map[string]bool)
 	var out []string
-	for _, w := range tokenize.Words(a) {
-		if seen[w] || !inB[w] {
+	for w := range tokenize.Scan(a) {
+		if seen[string(w)] || !inB[string(w)] {
 			continue
 		}
-		if len(w) >= 8 || signalWords[w] || hasDigit(w) && len(w) >= 4 {
-			seen[w] = true
-			out = append(out, w)
+		if len(w) >= 8 || signalWords[string(w)] || hasDigit(w) && len(w) >= 4 {
+			s := string(w)
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -232,13 +265,14 @@ func sharedSignals(a, b string, n int) []string {
 func topSignals(text string, n int) []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, w := range tokenize.Words(text) {
-		if seen[w] {
+	for w := range tokenize.Scan(text) {
+		if seen[string(w)] {
 			continue
 		}
-		if len(w) >= 10 || signalWords[w] {
-			seen[w] = true
-			out = append(out, w)
+		if len(w) >= 10 || signalWords[string(w)] {
+			s := string(w)
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -11,10 +11,15 @@
 //     compression into the requested 120-140-word budget. Sentence salience
 //     rewards distinctive technical tokens (exception names, counters,
 //     error markers); model fidelity and temperature inject seeded noise.
-//   - Chain-of-thought option selection (Figure 9 prompts): each lettered
-//     demonstration is scored against the input with the model's own
-//     lexical-semantic text representation plus capability-scaled noise;
-//     low-confidence maxima fall back to option A ("Unseen incident"),
+//   - Chain-of-thought option selection (Figure 9 prompts): the prompt is
+//     read as the model sees it — the Input section, then every option
+//     line that starts with a capital letter, a colon and a space. Each
+//     lettered demonstration is scored against the input by a weighted
+//     cosine over their shared words, each word weighted by its length
+//     and its rarity among the prompt's documents, plus capability-scaled
+//     noise. The sums run in word first-occurrence order, so a prompt's
+//     scores repeat to the bit. Low-confidence maxima fall back to option
+//     A ("Unseen incident"),
 //     with a synthesized category keyword and an explanation naming the
 //     signals that drove the choice (Figure 11's behaviour).
 //   - Embeddings: a fixed random-projection hashed bag-of-words space.
@@ -31,7 +36,6 @@ package simgpt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -140,12 +144,21 @@ func (c *Client) latency(tokens int) time.Duration {
 	return c.opts.LatencyBase + time.Duration(tokens)*c.opts.LatencyPerToken
 }
 
-// rngFor derives a deterministic RNG from the client seed and the prompt,
-// so identical calls repeat and different prompts decorrelate.
+// rngFor derives a deterministic RNG from the client seed and the prompt's
+// FNV-1a 64 hash, so identical calls repeat and different prompts
+// decorrelate. The hash runs inline over the string, so no copy of the
+// prompt is made.
 func (c *Client) rngFor(prompt string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(prompt))
-	return rand.New(rand.NewSource(c.opts.Seed ^ int64(h.Sum64())))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(prompt); i++ {
+		h ^= uint64(prompt[i])
+		h *= prime64
+	}
+	return rand.New(rand.NewSource(c.opts.Seed ^ int64(h)))
 }
 
 // Complete implements llm.Client. It dispatches on the prompt protocol the
@@ -238,29 +251,6 @@ func (c *Client) classifyZeroShot(prompt string, temperature float64) string {
 	}
 	_ = temperature
 	return "Category: an anomaly involving " + joinNaturally(signals)
-}
-
-// embedLexical is the model's internal text representation used for option
-// scoring: a hashed bag-of-words with sub-linear term weighting. It is
-// intentionally lexical — the simulacrum "understands" two incident
-// summaries to match when they share distinctive technical vocabulary.
-func (c *Client) embedLexical(text string) []float64 {
-	const dim = 256
-	v := make([]float64, dim)
-	for _, w := range tokenize.Words(text) {
-		if len(w) < 3 {
-			continue
-		}
-		h := fnv.New32a()
-		h.Write([]byte(w))
-		idx := int(h.Sum32()) % dim
-		if idx < 0 {
-			idx += dim
-		}
-		// Longer tokens (exception names, counters) are more distinctive.
-		v[idx] += math.Sqrt(float64(len(w)))
-	}
-	return v
 }
 
 func cosine(a, b []float64) float64 {

@@ -40,39 +40,62 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 		score float64
 	}
 	var sentences []scored
+	// Sentences are deduplicated by their token signature (words joined by
+	// spaces) and capped per shape (the signature with numeric tokens
+	// wildcarded), both built in reused buffers.
 	seen := make(map[string]bool)
-	shapeCount := make(map[string]int)
+	shapeIdx := make(map[string]int)
+	var shapeCount []int
+	var sig, shape []byte
 	for i, s := range tokenize.Sentences(body) {
-		ws := tokenize.Words(s)
-		if len(ws) == 0 {
-			continue
-		}
-		// Deduplicate repeated table rows / probe lines by token signature.
-		sig := strings.Join(ws, " ")
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		// Near-duplicate rows (same shape, different numbers/machines) add
-		// nothing after the second instance: a human summarizer writes
-		// "crashes across many machines", not thirteen crash rows.
-		shape := sentenceShape(ws)
-		shapeCount[shape]++
-		if shapeCount[shape] > 2 {
-			continue
-		}
+		sig, shape = sig[:0], shape[:0]
+		n := 0
 		var sc float64
-		for _, w := range ws {
+		for w := range tokenize.Scan(s) {
+			if n > 0 {
+				sig = append(sig, ' ')
+				shape = append(shape, ' ')
+			}
+			n++
+			sig = append(sig, w...)
+			digit := hasDigit(w)
+			if digit {
+				shape = append(shape, '#')
+			} else {
+				shape = append(shape, w...)
+			}
 			switch {
-			case signalWords[w]:
+			case signalWords[string(w)]:
 				sc += 3
-			case hasDigit(w):
+			case digit:
 				sc += 1.5
 			case len(w) >= 10: // exception names, component identifiers
 				sc += 2
 			case len(w) >= 6:
 				sc += 0.5
 			}
+		}
+		if n == 0 {
+			continue
+		}
+		// Deduplicate repeated table rows / probe lines by token signature.
+		if seen[string(sig)] {
+			continue
+		}
+		seen[string(sig)] = true
+		// Near-duplicate rows (same shape, different numbers/machines) add
+		// nothing after the second instance: a human summarizer writes
+		// "crashes across many machines", not thirteen crash rows, so
+		// "08:10 MB09 crashed" and "09:12 HB04 crashed" count together.
+		j, ok := shapeIdx[string(shape)]
+		if !ok {
+			j = len(shapeCount)
+			shapeIdx[string(shape)] = j
+			shapeCount = append(shapeCount, 0)
+		}
+		shapeCount[j]++
+		if shapeCount[j] > 2 {
+			continue
 		}
 		// Table separators, evidence headers, and healthy-probe chatter
 		// carry nothing a root-cause summary needs.
@@ -89,7 +112,7 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 			!strings.Contains(s, "WARNING") {
 			sc *= 0.05
 		}
-		sentences = append(sentences, scored{idx: i, text: s, words: len(ws), score: sc / float64(len(ws))})
+		sentences = append(sentences, scored{idx: i, text: s, words: n, score: sc / float64(n)})
 	}
 	if len(sentences) == 0 {
 		return "No diagnostic information was provided."
@@ -134,25 +157,12 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 	return b.String()
 }
 
-func hasDigit(w string) bool {
-	for _, r := range w {
-		if r >= '0' && r <= '9' {
+// hasDigit reports whether w contains an ASCII digit.
+func hasDigit[T string | []byte](w T) bool {
+	for i := 0; i < len(w); i++ {
+		if '0' <= w[i] && w[i] <= '9' {
 			return true
 		}
 	}
 	return false
-}
-
-// sentenceShape is a sentence's token signature with numeric tokens
-// wildcarded, so "08:10 MB09 crashed" and "09:12 HB04 crashed" collide.
-func sentenceShape(ws []string) string {
-	parts := make([]string, len(ws))
-	for i, w := range ws {
-		if hasDigit(w) {
-			parts[i] = "#"
-		} else {
-			parts[i] = w
-		}
-	}
-	return strings.Join(parts, " ")
 }

@@ -30,14 +30,26 @@ func Words(text string) []string {
 
 // Scan yields the words of text exactly as Words splits and lowercases
 // them, without allocating a string per word: each word is yielded in a
-// buffer the next iteration overwrites, so copy it to keep it.
+// buffer the next iteration overwrites, so copy it to keep it. ASCII bytes
+// are classified and lowercased inline; only non-ASCII runes take the
+// unicode tables.
 func Scan(text string) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
-		var buf []byte
-		for _, r := range text {
-			if unicode.IsLetter(r) || unicode.IsDigit(r) {
-				buf = utf8.AppendRune(buf, unicode.ToLower(r))
-				continue
+		buf := make([]byte, 0, 32) // most words fit without growing
+		for i := 0; i < len(text); {
+			if c := text[i]; c < utf8.RuneSelf {
+				i++
+				if lc, ok := asciiWordByte(c); ok {
+					buf = append(buf, lc)
+					continue
+				}
+			} else {
+				r, size := utf8.DecodeRuneInString(text[i:])
+				i += size
+				if unicode.IsLetter(r) || unicode.IsDigit(r) {
+					buf = utf8.AppendRune(buf, unicode.ToLower(r))
+					continue
+				}
 			}
 			if len(buf) > 0 {
 				if !yield(buf) {
@@ -52,6 +64,19 @@ func Scan(text string) iter.Seq[[]byte] {
 	}
 }
 
+// asciiWordByte reports whether the ASCII byte c is a letter or digit and
+// returns it lowercased — unicode.IsLetter/IsDigit/ToLower restricted to
+// bytes below utf8.RuneSelf.
+func asciiWordByte(c byte) (byte, bool) {
+	switch {
+	case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		return c, true
+	case 'A' <= c && c <= 'Z':
+		return c + 'a' - 'A', true
+	}
+	return 0, false
+}
+
 // WordCount returns the number of word tokens in text.
 func WordCount(text string) int {
 	n := 0
@@ -64,32 +89,34 @@ func WordCount(text string) int {
 // Sentences splits text into sentence-ish units on newlines and on terminal
 // punctuation followed by whitespace, so dotted identifiers ("Transport.exe",
 // "System.IO.IOException") and decimals ("0.85") stay intact. Used by the
-// extractive summarizer.
+// extractive summarizer. Sentences are substrings of text; invalid UTF-8
+// bytes come back as U+FFFD, one per byte.
 func Sentences(text string) []string {
-	rs := []rune(text)
+	if !utf8.ValidString(text) {
+		text = string([]rune(text))
+	}
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		s := strings.TrimSpace(cur.String())
-		if s != "" {
+	start := 0
+	flush := func(end int) {
+		if s := strings.TrimSpace(text[start:end]); s != "" {
 			out = append(out, s)
 		}
-		cur.Reset()
 	}
-	for i, r := range rs {
-		switch r {
+	// Every delimiter is ASCII, and no byte of a multibyte UTF-8 sequence
+	// is, so a byte walk finds exactly the boundaries a rune walk would.
+	for i := 0; i < len(text); i++ {
+		switch text[i] {
 		case '\n':
-			flush()
+			flush(i)
+			start = i + 1
 		case '.', '!', '?':
-			cur.WriteRune(r)
-			if i+1 == len(rs) || rs[i+1] == ' ' || rs[i+1] == '\t' || rs[i+1] == '\n' {
-				flush()
+			if i+1 == len(text) || text[i+1] == ' ' || text[i+1] == '\t' || text[i+1] == '\n' {
+				flush(i + 1)
+				start = i + 1
 			}
-		default:
-			cur.WriteRune(r)
 		}
 	}
-	flush()
+	flush(len(text))
 	return out
 }
 
@@ -258,11 +285,33 @@ func (b *BPE) NumMerges() int { return len(b.ranks) }
 
 // EstimateTokens approximates a subword token count without a learned
 // vocabulary, using the ~1.3 tokens/word ratio typical of English prose.
-// The pipeline uses it only before a corpus-trained BPE is available.
+// The pipeline uses it only before a corpus-trained BPE is available. It
+// walks text as Scan does but only counts each word's lowercased byte
+// length, so it builds no buffer.
 func EstimateTokens(text string) int {
-	n := 0
-	for w := range Scan(text) {
-		n += 1 + len(w)/6
+	n, wordLen := 0, 0
+	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			i++
+			if _, ok := asciiWordByte(c); ok {
+				wordLen++
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				wordLen += utf8.RuneLen(unicode.ToLower(r))
+				continue
+			}
+		}
+		if wordLen > 0 {
+			n += 1 + wordLen/6
+			wordLen = 0
+		}
+	}
+	if wordLen > 0 {
+		n += 1 + wordLen/6
 	}
 	return n
 }

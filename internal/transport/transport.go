@@ -403,4 +403,3 @@ func (fo *Forest) MachinesByRole(role Role) []*Machine {
 	}
 	return out
 }
-

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/incident"
 	"repro/internal/parallel"
 )
 
@@ -61,68 +60,57 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 		return out, nil
 	}
 	heaps := make([]worstFirst, len(queries))
-	bests := make([]map[incident.Category]Scored, len(queries))
+	bests := make([]catBest, len(queries))
 	for i := range queries {
 		if queries[i].Diverse {
-			bests[i] = make(map[incident.Category]Scored)
+			bests[i] = newCatBest()
 		} else {
 			heaps[i] = make(worstFirst, 0, queries[i].K+1)
 		}
 	}
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	for i := range db.entries {
 		row := db.row(i)
-		et := db.entries[i].Time
+		e := &db.entries[i]
 		for qi := range queries {
 			bq := &queries[qi]
-			if !bqScope(bq).match(db.entries[i].Namespace) {
+			if !bqScope(bq).match(e.Namespace) {
 				continue
 			}
-			d, sim := similarityAt(bq.Vector, bq.Time, row, et, bq.Alpha)
-			sc := Scored{Entry: db.entries[i], Distance: d, Similarity: sim}
+			d, sim := similarityAt(bq.Vector, bq.Time, row, e.Time, bq.Alpha)
 			if bq.Diverse {
-				if cur, ok := bests[qi][sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-					bests[qi][sc.Entry.Category] = sc
-				}
-			} else {
-				h := &heaps[qi]
-				if len(*h) == bq.K {
-					if r := &(*h)[0]; r.Similarity > sim || (r.Similarity == sim && r.Entry.ID < sc.Entry.ID) {
-						continue
-					}
-				}
-				h.offer(sc, bq.K)
+				bests[qi].offer(e.Category, e.ID, 0, i, d, sim)
+				continue
 			}
+			h := &heaps[qi]
+			if len(*h) == bq.K {
+				if r := &(*h)[0]; r.Similarity > sim || (r.Similarity == sim && r.Entry.ID < e.ID) {
+					continue
+				}
+			}
+			h.offer(Scored{Entry: *e, Distance: d, Similarity: sim}, bq.K)
 		}
 	}
 	// Materialize winners while still under the store lock.
 	for qi := range queries {
 		if queries[qi].Diverse {
-			h := make(worstFirst, 0, queries[qi].K+1)
-			for _, sc := range bests[qi] {
-				sc.Entry.Vector = append([]float64(nil), db.row(db.byID[sc.Entry.ID])...)
-				h.offer(sc, queries[qi].K)
-			}
-			out[qi] = h.drain()
-		} else {
-			h := &heaps[qi]
-			for i := range *h {
-				(*h)[i].Entry.Vector = append([]float64(nil), db.row(db.byID[(*h)[i].Entry.ID])...)
-			}
-			out[qi] = h.drain()
+			out[qi] = db.materializeSlots(bests[qi].top(queries[qi].K))
+			continue
 		}
+		h := &heaps[qi]
+		for i := range *h {
+			(*h)[i].Entry.Vector = append([]float64(nil), db.row(db.byID[(*h)[i].Entry.ID])...)
+		}
+		out[qi] = h.drain()
 	}
-	db.mu.RUnlock()
 	return out, nil
 }
 
 // shardScanResult carries one shard's per-query local results back to the
-// batch merge, keyed by batch index: bounded top-k lists for plain
-// queries, category-best maps for diverse ones.
-type shardScanResult struct {
-	topk map[int][]Scored
-	best map[int]map[incident.Category]Scored
-}
+// batch merge, keyed by batch index: the bounded top k for a plain query,
+// the k best categories for a diverse one, best first either way.
+type shardScanResult map[int][]Scored
 
 // scanBatch serves a set of queries from one shard visit under a single
 // shard lock: floatQ are scanned at full precision in one pass over the
@@ -139,29 +127,24 @@ type shardScanResult struct {
 func (sh *shard) scanBatch(queries []BatchQuery, floatQ, quantQ []int, ofs []int) shardScanResult {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	res := shardScanResult{topk: make(map[int][]Scored), best: make(map[int]map[incident.Category]Scored)}
+	res := make(shardScanResult, len(floatQ)+len(quantQ))
 	if len(floatQ) > 0 {
-		sh.scanBatchFloat(queries, floatQ, &res)
+		sh.scanBatchFloat(queries, floatQ, res)
 	}
 	for _, qi := range quantQ {
 		bq := &queries[qi]
-		topk, best := sh.twoStageLocked(bq.Vector, bq.Time, bq.K, ofs[qi], bq.Alpha, bqScope(bq), bq.Diverse)
-		if bq.Diverse {
-			res.best[qi] = best
-		} else {
-			res.topk[qi] = topk
-		}
+		res[qi] = sh.twoStageLocked(bq.Vector, bq.Time, bq.K, ofs[qi], bq.Alpha, bqScope(bq), bq.Diverse)
 	}
 	return res
 }
 
 // scanBatchFloat is the full-precision half of scanBatch: one walk of the
 // columnar rows, every member query maintaining its own bounded heap (or
-// category-best map) with the same pre-checks as the sequential scan.
+// category slots) with the same pre-checks as the sequential scan.
 // Caller holds sh.mu.
-func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res *shardScanResult) {
+func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardScanResult) {
 	heaps := make([]worstFirst, len(floatQ))
-	bests := make([]map[incident.Category]Scored, len(floatQ))
+	bests := make([]catBest, len(floatQ))
 	// Queries with an identical (Time, Alpha) pair — a flush anchored at
 	// one clock reading — share every row's decay factor, so group them
 	// and compute exp(-α·Δt) once per row per group instead of once per
@@ -181,7 +164,7 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res *shardSc
 	byKey := make(map[groupKey]*decayGroup, len(floatQ))
 	for j, qi := range floatQ {
 		if queries[qi].Diverse {
-			bests[j] = make(map[incident.Category]Scored)
+			bests[j] = newCatBest()
 		} else {
 			heaps[j] = make(worstFirst, 0, queries[qi].K+1)
 		}
@@ -200,10 +183,8 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res *shardSc
 		sim := 1 / (1 + dist) * decay
 		bq := &queries[floatQ[j]]
 		if bq.Diverse {
-			sc := Scored{Entry: sh.entries[i], Distance: dist, Similarity: sim}
-			if cur, ok := bests[j][sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-				bests[j][sc.Entry.Category] = sc
-			}
+			e := &sh.entries[i]
+			bests[j].offer(e.Category, e.ID, 0, i, dist, sim)
 			return
 		}
 		h := &heaps[j]
@@ -259,19 +240,14 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res *shardSc
 	}
 	for j, qi := range floatQ {
 		if queries[qi].Diverse {
-			best := bests[j]
-			for cat, sc := range best {
-				sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-				best[cat] = sc
-			}
-			res.best[qi] = best
-		} else {
-			h := &heaps[j]
-			for i := range *h {
-				(*h)[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[(*h)[i].Entry.ID])...)
-			}
-			res.topk[qi] = h.drain()
+			res[qi] = sh.materializeSlots(bests[j].top(queries[qi].K))
+			continue
 		}
+		h := &heaps[j]
+		for i := range *h {
+			(*h)[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[(*h)[i].Entry.ID])...)
+		}
+		res[qi] = h.drain()
 	}
 }
 
@@ -395,30 +371,28 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 
 	for qi := range queries {
 		bq := &queries[qi]
-		h := make(worstFirst, 0, bq.K+1)
 		if bq.Diverse {
-			best := make(map[incident.Category]Scored)
-			for _, r := range results {
-				mergeCategoryBest(best, r.best[qi])
+			parts := make([][]Scored, len(results))
+			for i, r := range results {
+				parts[i] = r[qi]
 			}
-			for _, sc := range best {
-				h.offer(sc, bq.K)
-			}
-		} else {
-			var seen map[string]bool
-			if draining != nil {
-				seen = make(map[string]bool, 2*bq.K)
-			}
-			for _, r := range results { // draining shards first, then current
-				for _, sc := range r.topk[qi] {
-					if seen != nil {
-						if seen[sc.Entry.ID] {
-							continue
-						}
-						seen[sc.Entry.ID] = true
+			out[qi] = mergeDiverse(parts, bq.K)
+			continue
+		}
+		h := make(worstFirst, 0, bq.K+1)
+		var seen map[string]bool
+		if draining != nil {
+			seen = make(map[string]bool, 2*bq.K)
+		}
+		for _, r := range results { // draining shards first, then current
+			for _, sc := range r[qi] {
+				if seen != nil {
+					if seen[sc.Entry.ID] {
+						continue
 					}
-					h.offer(sc, bq.K)
+					seen[sc.Entry.ID] = true
 				}
+				h.offer(sc, bq.K)
 			}
 		}
 		out[qi] = h.drain()

@@ -330,11 +330,11 @@ func (v batcherView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	return v.b.idx.TopKBatch(scopedQueries(queries, v.ns))
 }
 
-func (v batcherView) Dim() int                                 { return v.b.idx.Dim() }
-func (v batcherView) Len() int                                 { return v.b.idx.Namespace(v.ns).Len() }
-func (v batcherView) Add(e Entry) error                        { return v.b.idx.Namespace(v.ns).Add(e) }
-func (v batcherView) Get(id string) (Entry, bool)              { return v.b.idx.Namespace(v.ns).Get(id) }
-func (v batcherView) Categories() []incident.Category          { return v.b.idx.Namespace(v.ns).Categories() }
+func (v batcherView) Dim() int                        { return v.b.idx.Dim() }
+func (v batcherView) Len() int                        { return v.b.idx.Namespace(v.ns).Len() }
+func (v batcherView) Add(e Entry) error               { return v.b.idx.Namespace(v.ns).Add(e) }
+func (v batcherView) Get(id string) (Entry, bool)     { return v.b.idx.Namespace(v.ns).Get(id) }
+func (v batcherView) Categories() []incident.Category { return v.b.idx.Namespace(v.ns).Categories() }
 func (v batcherView) CountByCategory() map[incident.Category]int {
 	return v.b.idx.Namespace(v.ns).CountByCategory()
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/incident"
 )
 
 // DefaultOverfetch is the candidate over-fetch factor the quantized stage
@@ -285,52 +283,44 @@ func (sh *shard) scanQuantized(q *quantSidecar, query []float64, qt time.Time, w
 func (sh *shard) topKQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) []Scored {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out, _ := sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, false)
-	return out
+	return sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, false)
 }
 
 // categoryBestQuantized is the two-stage form of categoryBest; see
 // twoStageLocked.
-func (sh *shard) categoryBestQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) map[incident.Category]Scored {
+func (sh *shard) categoryBestQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) []Scored {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, best := sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, true)
-	return best
+	return sh.twoStageLocked(query, qt, k, overfetch, alpha, ns, true)
 }
 
 // twoStageLocked is the shard's two-stage probe scan under a caller-held
 // shard lock: the int8 stage collects k×overfetch candidates, then each
 // candidate is re-scored against the full-precision backing under the
-// exact similarity — the best k win for a plain query (topk), the
-// per-category bests over the candidate set for a diverse one (best).
+// exact similarity — the best k win for a plain query, the k best
+// categories over the candidate set for a diverse one.
 // When the candidate budget covers the whole shard the result is
 // identical to the exact scan — every row is a candidate and the re-rank
 // IS the exact scan — which is the property the fuzz oracle pins. A shard
 // whose sidecar is missing or momentarily out of sync (EnableQuantized
 // racing an Add) serves full precision instead.
-func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope, diverse bool) (topk []Scored, best map[incident.Category]Scored) {
+func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope, diverse bool) []Scored {
 	q := sh.quant
 	if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
 		if diverse {
-			return nil, sh.categoryBestLocked(query, qt, alpha, ns)
+			return sh.categoryBestLocked(query, qt, k, alpha, ns)
 		}
-		return sh.topKLocked(query, qt, k, alpha, ns), nil
+		return sh.topKLocked(query, qt, k, alpha, ns)
 	}
 	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
 	if diverse {
-		best = make(map[incident.Category]Scored)
+		b := newCatBest()
 		for _, c := range cands {
 			d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
-			sc := Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}
-			if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-				best[sc.Entry.Category] = sc
-			}
+			e := &sh.entries[c.idx]
+			b.offer(e.Category, e.ID, 0, c.idx, d, s)
 		}
-		for cat, sc := range best {
-			sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-			best[cat] = sc
-		}
-		return nil, best
+		return sh.materializeSlots(b.top(k))
 	}
 	h := make(worstFirst, 0, k+1)
 	for _, c := range cands {
@@ -340,7 +330,7 @@ func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int,
 	for i := range h {
 		h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
 	}
-	return h.drain(), nil
+	return h.drain()
 }
 
 // rebuildQuant retrains the shard's sidecar from its current contents

@@ -683,22 +683,22 @@ func (s *Sharded) topK(query []float64, qt time.Time, k int, alpha float64, forc
 }
 
 // fanCategoryBest runs the per-shard per-category scan over the given
-// shards on the shared worker pool.
-func fanCategoryBest(shards []*shard, query []float64, qt time.Time, alpha float64, sc scope) ([]map[incident.Category]Scored, error) {
-	return parallel.Map(len(shards), 0, func(i int) (map[incident.Category]Scored, error) {
-		return shards[i].categoryBest(query, qt, alpha, sc), nil
+// shards on the shared worker pool; each shard returns its k best
+// categories (see mergeDiverse for why that is enough).
+func fanCategoryBest(shards []*shard, query []float64, qt time.Time, k int, alpha float64, sc scope) ([][]Scored, error) {
+	return parallel.Map(len(shards), 0, func(i int) ([]Scored, error) {
+		return shards[i].categoryBest(query, qt, k, alpha, sc), nil
 	})
 }
 
 // TopKDiverse returns the k most similar entries with each root-cause
 // category appearing at most once (§4.2.2), fanning out across shards.
-// Each shard finds its per-category best; the merge keeps each category's
-// best across shards — keep-best is commutative, associative, and
-// idempotent under the total retrieval order, so exact-mode results are
-// identical to the flat store's regardless of shard count, routing, or an
-// in-flight rebalance (a migrating entry seen twice merges with itself).
-// With SetProbes under IVF routing only the nearest partitions are
-// scanned (approximate; see the type comment).
+// Each shard finds its k best categories; mergeDiverse keeps each
+// category's best across shards, so exact-mode results are identical to
+// the flat store's regardless of shard count, routing, or an in-flight
+// rebalance (a migrating entry seen twice merges with itself). With
+// SetProbes under IVF routing only the nearest partitions are scanned
+// (approximate; see the type comment).
 func (s *Sharded) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
 	return s.topKDiverse(query, qt, k, alpha, false, scope{})
 }
@@ -718,21 +718,15 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 	defer s.mu.RUnlock()
 	draining, current := s.liveShards()
 
-	best := make(map[incident.Category]Scored)
-	mergeBest := func(perShard []map[incident.Category]Scored) {
-		for _, m := range perShard {
-			mergeCategoryBest(best, m)
-		}
-	}
+	var parts [][]Scored
 	if draining != nil {
 		// Rebalance in flight: exact over both generations, the draining
 		// one scanned to completion first (same no-miss argument as TopK;
 		// a migrating entry seen twice merges with itself).
-		oldRes, err := fanCategoryBest(draining, query, qt, alpha, sc)
-		if err != nil {
+		var err error
+		if parts, err = fanCategoryBest(draining, query, qt, k, alpha, sc); err != nil {
 			return nil, err
 		}
-		mergeBest(oldRes)
 	}
 	shards := current
 	probed := false
@@ -742,16 +736,11 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 		}
 	}
 	if draining == nil && !probed && s.count.Load() <= diverseInlineMax {
-		// Small store: one preallocated category-best map filled across all
-		// shards in sequence beats the fan-out's per-shard map build, merge,
-		// and per-shard winner materialization — the regime where the
-		// sharded TopKDiverse used to lose to the flat store.
-		s.categoryBestInline(shards, query, qt, alpha, best, sc)
-		h := make(worstFirst, 0, k+1)
-		for _, sc := range best {
-			h.offer(sc, k)
-		}
-		out := h.drain()
+		// Small store: one category-slot scan across all shards in
+		// sequence beats the fan-out's per-shard scans and merge — the
+		// regime where the sharded TopKDiverse used to lose to the flat
+		// store.
+		out := s.categoryBestInline(shards, query, qt, k, alpha, sc)
 		if !forceExact {
 			if t := s.tunerFor(nsSt); t != nil {
 				t.observeQuery(query, qt, k, alpha, out, false, true, sc)
@@ -759,26 +748,21 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 		}
 		return out, nil
 	}
-	var perShard []map[incident.Category]Scored
+	var perShard [][]Scored
 	var err error
 	if probed && s.quantized.Load() {
 		of := s.overfetchFor(nsSt)
 		s.noteQuantScan(nsSt)
-		perShard, err = parallel.Map(len(shards), 0, func(i int) (map[incident.Category]Scored, error) {
+		perShard, err = parallel.Map(len(shards), 0, func(i int) ([]Scored, error) {
 			return shards[i].categoryBestQuantized(query, qt, k, of, alpha, sc), nil
 		})
 	} else {
-		perShard, err = fanCategoryBest(shards, query, qt, alpha, sc)
+		perShard, err = fanCategoryBest(shards, query, qt, k, alpha, sc)
 	}
 	if err != nil {
 		return nil, err
 	}
-	mergeBest(perShard)
-	h := make(worstFirst, 0, k+1)
-	for _, sc := range best {
-		h.offer(sc, k)
-	}
-	out := h.drain()
+	out := mergeDiverse(append(parts, perShard...), k)
 	if draining == nil && !forceExact {
 		if t := s.tunerFor(nsSt); t != nil {
 			t.observeQuery(query, qt, k, alpha, out, probed, true, sc)
@@ -787,58 +771,41 @@ func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float6
 	return out, nil
 }
 
-// mergeCategoryBest folds one shard's per-category bests into dst, keeping
-// each category's best-ranked representative — commutative, associative,
-// and idempotent under the total retrieval order.
-func mergeCategoryBest(dst, src map[incident.Category]Scored) {
-	for cat, sc := range src {
-		if cur, ok := dst[cat]; !ok || ranksAfter(cur, sc) {
-			dst[cat] = sc
-		}
-	}
-}
-
 // diverseInlineMax is the store size at or below which TopKDiverse takes
-// the inline single-map path instead of per-shard fan-out: small enough
-// that scan time cannot amortize per-shard map builds and merge overhead.
+// the inline single-scan path instead of per-shard fan-out: small enough
+// that scan time cannot amortize per-shard scans and the merge.
 const diverseInlineMax = 4096
 
-// categoryBestInline fills one shared category-best map across the given
-// shards in sequence — same comparisons (and therefore bit-identical
-// results) as the per-shard maps merged by mergeBest, without building and
-// merging a map per shard. Winners reference (shard, row) during the scan
-// and materialize once at the end: under the caller-held store read lock
-// no generation swap can start, so shards only append and row indexes stay
-// stable across the brief per-shard lock releases.
-func (s *Sharded) categoryBestInline(shards []*shard, query []float64, qt time.Time, alpha float64, best map[incident.Category]Scored, ns scope) {
-	type ref struct {
-		sh  *shard
-		idx int
-	}
-	refs := make(map[incident.Category]ref, 64)
-	for _, sh := range shards {
+// categoryBestInline runs one category-slot scan across the given shards
+// in sequence — the same comparisons as the per-shard scans merged by
+// mergeDiverse, so bit-identical results — and returns the k best
+// categories, best first. Slots reference (shard, row) during the scan
+// and only the k winners materialize at the end: under the caller-held
+// store read lock no generation swap can start, so shards only append and
+// row indexes stay stable across the brief per-shard lock releases.
+func (s *Sharded) categoryBestInline(shards []*shard, query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
+	b := newCatBest()
+	for si, sh := range shards {
 		sh.mu.RLock()
 		for i := range sh.entries {
-			if !ns.match(sh.entries[i].Namespace) {
+			e := &sh.entries[i]
+			if !ns.match(e.Namespace) {
 				continue
 			}
-			d, sim := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
-			sc := Scored{Entry: sh.entries[i], Distance: d, Similarity: sim}
-			cat := sc.Entry.Category
-			if cur, ok := best[cat]; !ok || ranksAfter(cur, sc) {
-				best[cat] = sc
-				refs[cat] = ref{sh: sh, idx: i}
-			}
+			d, sim := similarityAt(query, qt, sh.row(i), e.Time, alpha)
+			b.offer(e.Category, e.ID, si, i, d, sim)
 		}
 		sh.mu.RUnlock()
 	}
-	for cat, r := range refs {
-		sc := best[cat]
-		r.sh.mu.RLock()
-		sc.Entry.Vector = append([]float64(nil), r.sh.row(r.idx)...)
-		r.sh.mu.RUnlock()
-		best[cat] = sc
+	win := b.top(k)
+	out := make([]Scored, len(win))
+	for j := range win {
+		sh := shards[win[j].src]
+		sh.mu.RLock()
+		out[j] = win[j].scored(sh.entries[win[j].row], sh.row(win[j].row))
+		sh.mu.RUnlock()
 	}
+	return out
 }
 
 // topK streams one shard's columnar rows through a bounded heap and
@@ -873,33 +840,37 @@ func (sh *shard) topKLocked(query []float64, qt time.Time, k int, alpha float64,
 	return h.drain()
 }
 
-// categoryBest returns the shard's best-ranked entry per category,
-// vectors materialized.
-func (sh *shard) categoryBest(query []float64, qt time.Time, alpha float64, ns scope) map[incident.Category]Scored {
+// categoryBest returns the shard's k best categories, each by its
+// best-ranked entry, best first, vectors materialized.
+func (sh *shard) categoryBest(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.categoryBestLocked(query, qt, alpha, ns)
+	return sh.categoryBestLocked(query, qt, k, alpha, ns)
 }
 
 // categoryBestLocked is categoryBest's body under a caller-held shard
 // lock — shared with the quantized path's full-precision fallback.
-func (sh *shard) categoryBestLocked(query []float64, qt time.Time, alpha float64, ns scope) map[incident.Category]Scored {
-	best := make(map[incident.Category]Scored)
+func (sh *shard) categoryBestLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
+	b := newCatBest()
 	for i := range sh.entries {
-		if !ns.match(sh.entries[i].Namespace) {
+		e := &sh.entries[i]
+		if !ns.match(e.Namespace) {
 			continue
 		}
-		d, s := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
-		sc := Scored{Entry: sh.entries[i], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
-		}
+		d, s := similarityAt(query, qt, sh.row(i), e.Time, alpha)
+		b.offer(e.Category, e.ID, 0, i, d, s)
 	}
-	for cat, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-		best[cat] = sc
+	return sh.materializeSlots(b.top(k))
+}
+
+// materializeSlots copies out the shard rows the slots reference, in
+// order; valid only under sh.mu.
+func (sh *shard) materializeSlots(win []catSlot) []Scored {
+	out := make([]Scored, len(win))
+	for j := range win {
+		out[j] = win[j].scored(sh.entries[win[j].row], sh.row(win[j].row))
 	}
-	return best
+	return out
 }
 
 // entriesSortedByIDLocked snapshots every entry across both generations,

@@ -528,10 +528,106 @@ func similarityAt(query []float64, qt time.Time, vec []float64, et time.Time, al
 // retrieval order: similarity descending, ties broken by older-first ID for
 // determinism.
 func ranksAfter(a, b Scored) bool {
-	if a.Similarity != b.Similarity {
-		return a.Similarity < b.Similarity
+	return rankAfter(a.Similarity, a.Entry.ID, b.Similarity, b.Entry.ID)
+}
+
+// rankAfter is ranksAfter over bare (similarity, ID) keys.
+func rankAfter(aSim float64, aID string, bSim float64, bID string) bool {
+	if aSim != bSim {
+		return aSim < bSim
 	}
-	return a.Entry.ID > b.Entry.ID
+	return aID > bID
+}
+
+// catBest is the per-call state of a diverse scan: each category's
+// best-ranked row so far, held by reference in a slot — (source, row, ID,
+// distance, similarity) — so the scan copies no Entry per row and only
+// the k winners are ever materialized. src names the scanned row set a
+// row belongs to (a shard index when one scan spans several shards).
+type catBest struct {
+	slot  map[incident.Category]int
+	slots []catSlot
+}
+
+type catSlot struct {
+	src, row  int
+	id        string
+	dist, sim float64
+}
+
+func newCatBest() catBest {
+	return catBest{slot: make(map[incident.Category]int, 64), slots: make([]catSlot, 0, 64)}
+}
+
+// offer folds one scored row into its category's slot, keeping the
+// better-ranked of the two — the comparison the Entry-copying scans made.
+func (b *catBest) offer(cat incident.Category, id string, src, row int, dist, sim float64) {
+	j, ok := b.slot[cat]
+	if !ok {
+		b.slot[cat] = len(b.slots)
+		b.slots = append(b.slots, catSlot{src: src, row: row, id: id, dist: dist, sim: sim})
+		return
+	}
+	if cur := &b.slots[j]; rankAfter(cur.sim, cur.id, sim, id) {
+		*cur = catSlot{src: src, row: row, id: id, dist: dist, sim: sim}
+	}
+}
+
+// top reorders the slots in place and returns the k best-ranked, best
+// first: an insertion pass that keeps the best k seen so far at the front
+// of the slice, so it only ever writes below index k.
+func (b *catBest) top(k int) []catSlot {
+	s := b.slots
+	m := 0
+	for i := range s {
+		c := s[i]
+		if m == k {
+			if !rankAfter(s[m-1].sim, s[m-1].id, c.sim, c.id) {
+				continue
+			}
+			m--
+		}
+		j := m
+		for ; j > 0 && rankAfter(s[j-1].sim, s[j-1].id, c.sim, c.id); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = c
+		m++
+	}
+	return s[:m]
+}
+
+// scored materializes slot c as a result over its entry and vector row.
+func (c *catSlot) scored(e Entry, vec []float64) Scored {
+	e.Vector = append([]float64(nil), vec...)
+	return Scored{Entry: e, Distance: c.dist, Similarity: c.sim}
+}
+
+// mergeDiverse merges diverse results from several row sets (shards, or
+// the two generations of a rebalance) into the global k best, each
+// category represented by its best-ranked entry across them. Every input
+// may hold just its own k best categories: for a category C in the global
+// top k, the row set holding C's global best ranks fewer than k
+// categories above C (each such category's local best outranks C's best,
+// so the category outranks C globally too), so C arrives with its true
+// best; a category cut short elsewhere arrives at worst with a worse
+// representative, which cannot displace a true top-k member. Keep-best is
+// commutative, associative and idempotent, so an entry seen twice (a
+// migrating row mid-rebalance) merges with itself.
+func mergeDiverse(parts [][]Scored, k int) []Scored {
+	best := make(map[incident.Category]Scored)
+	for _, scs := range parts {
+		for _, sc := range scs {
+			if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
+				best[sc.Entry.Category] = sc
+			}
+		}
+	}
+	h := make(worstFirst, 0, k+1)
+	for _, sc := range best {
+		h.offer(sc, k)
+	}
+	return h.drain()
 }
 
 // worstFirst is a bounded min-heap over retrieval rank: the root is the
@@ -590,7 +686,8 @@ func (db *DB) checkQuery(query []float64, k int) error {
 // means only each category's best-ranked entry can ever be selected (a
 // descending greedy scan takes the first — i.e. best — occurrence of every
 // category), so one O(n) pass finds the per-category representatives and a
-// bounded heap selects the top k among them in O(C log k).
+// partial insertion pass selects the top k among them, and only those k
+// are copied out.
 func (db *DB) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
 	return db.topKDiverseScoped(query, qt, k, alpha, scope{})
 }
@@ -602,24 +699,27 @@ func (db *DB) topKDiverseScoped(query []float64, qt time.Time, k int, alpha floa
 		return nil, err
 	}
 	db.mu.RLock()
-	best := make(map[incident.Category]Scored)
+	defer db.mu.RUnlock()
+	b := newCatBest()
 	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) {
+		e := &db.entries[i]
+		if !ns.match(e.Namespace) {
 			continue
 		}
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		sc := Scored{Entry: db.entries[i], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
-		}
+		d, s := similarityAt(query, qt, db.row(i), e.Time, alpha)
+		b.offer(e.Category, e.ID, 0, i, d, s)
 	}
-	h := make(worstFirst, 0, k+1)
-	for _, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), db.row(db.byID[sc.Entry.ID])...)
-		h.offer(sc, k)
+	return db.materializeSlots(b.top(k)), nil
+}
+
+// materializeSlots copies out the rows the slots reference, in order;
+// valid only under db.mu.
+func (db *DB) materializeSlots(win []catSlot) []Scored {
+	out := make([]Scored, len(win))
+	for j := range win {
+		out[j] = win[j].scored(db.entries[win[j].row], db.row(win[j].row))
 	}
-	db.mu.RUnlock()
-	return h.drain(), nil
+	return out
 }
 
 // TopK returns the k most similar entries without the category-diversity
