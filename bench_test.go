@@ -396,6 +396,34 @@ func benchDocVector(b *testing.B, ft *fasttext.Model, text string) {
 	}
 }
 
+// BenchmarkTrainSkipgram measures training the retrieval embedding on the
+// training split, as env.FastText does for the stage benchmarks above.
+func BenchmarkTrainSkipgram(b *testing.B) {
+	env := sharedBenchEnv(b)
+	texts := env.TrainTexts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fasttext.TrainSkipgram(texts, fasttext.Config{Seed: env.Seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainSupervised measures training the supervised FastText
+// baseline of Table 2 on the same split.
+func BenchmarkTrainSupervised(b *testing.B) {
+	env := sharedBenchEnv(b)
+	texts, labels := env.TrainTexts(), env.TrainLabels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fasttext.TrainSupervised(texts, labels, fasttext.Config{Seed: env.Seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVectorTopKDiverse measures one temporal-decay kNN query against
 // the full training history.
 func BenchmarkVectorTopKDiverse(b *testing.B) {

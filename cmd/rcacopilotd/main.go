@@ -42,6 +42,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/embed/fasttext"
 	"repro/internal/feedback"
 	"repro/internal/httpd"
 
@@ -149,19 +151,34 @@ func run(c config) error {
 		n = len(corpus.Incidents)
 	}
 	log.Printf("rcacopilotd: training embedding and ingesting %d/%d incidents", n, len(corpus.Incidents))
-	if err := sys.TrainEmbedding(corpus.Incidents[:n]); err != nil {
+	// Train, then attach, as TrainEmbedding does, so the boot log can
+	// time the two apart. With -wal-dir, attaching replays the directory's
+	// snapshot + log into the store (the embedding is deterministic from
+	// corpus and seed, so the replayed vectors are in the attached space).
+	// A warm restart — including one after SIGKILL — therefore skips
+	// re-ingest and serves the recovered corpus.
+	start := time.Now()
+	texts := make([]string, n)
+	for i, in := range corpus.Incidents[:n] {
+		texts[i] = in.DiagnosticText()
+	}
+	model, err := fasttext.TrainSkipgram(texts, rcacopilot.EmbeddingConfig{Seed: c.seed})
+	if err != nil {
 		return err
 	}
-	// With -wal-dir, TrainEmbedding replays the directory's snapshot + log
-	// into the store (the embedding is deterministic from corpus and seed,
-	// so the replayed vectors are in the attached space). A warm restart —
-	// including one after SIGKILL — therefore skips re-ingest and serves
-	// the recovered corpus.
+	trained := time.Since(start)
+	start = time.Now()
+	if _, err := sys.Copilot().SetEmbedder(core.FastTextEmbedder{Model: model}); err != nil {
+		return err
+	}
+	loadedBy := "ingested"
 	if replayed := sys.Copilot().Index().Len(); c.walDir != "" && replayed > 0 {
+		loadedBy = "replayed"
 		log.Printf("rcacopilotd: recovered %d incidents from %s, skipping re-ingest", replayed, c.walDir)
 	} else if err := sys.AddHistory(corpus.Incidents[:n]); err != nil {
 		return err
 	}
+	loaded := time.Since(start)
 	if c.retry {
 		if err := sys.Feedback().StartRetry(feedback.RetryConfig{}); err != nil {
 			return err
@@ -171,8 +188,9 @@ func run(c config) error {
 	d := newDaemon(sys, httpd.LimitConfig{Rate: c.rate, Burst: c.burst, QueueDepth: c.admitQueue}, c.queue)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	log.Printf("rcacopilotd: listening on %s (%d historical incidents, %d categories)",
-		c.addr, sys.Copilot().Index().Len(), len(sys.Copilot().Index().Categories()))
+	log.Printf("rcacopilotd: listening on %s (%d historical incidents, %d categories; trained embedding in %v, %s in %v)",
+		c.addr, sys.Copilot().Index().Len(), len(sys.Copilot().Index().Categories()),
+		trained.Round(time.Millisecond), loadedBy, loaded.Round(time.Millisecond))
 	if err := httpd.Serve(ctx, httpd.NewServer(c.addr, d), c.grace, d.drain); err != nil {
 		return err
 	}

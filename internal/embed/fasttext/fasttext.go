@@ -8,6 +8,14 @@
 // matrices, making it easy to calculate the Euclidean distance between
 // similar vectors"; this implementation preserves those properties.
 //
+// Training is single-goroutine and bit-stable: the same corpus and Config
+// give the same float64 bits in every trained row, on every run and
+// across versions of this package. Speedups to the trainer keep each
+// value's floating-point operations and their order; the trainer is
+// checked against the original one-pair-at-a-time loop, and the trained
+// vectors and input matrix are pinned by goldens. Vectors persisted by an
+// older binary therefore stay in the space of a freshly retrained model.
+//
 // The package also provides the supervised FastText classifier used as a
 // baseline in the paper's Table 2.
 package fasttext
@@ -178,28 +186,29 @@ func (m *Model) seal() {
 }
 
 // TrainSkipgram trains a FastText model over the corpus (one document per
-// string). Training is deterministic for a given config.
+// string). The same corpus and config give the same float64 bits in every
+// trained row, on every run and across versions of this package, so a
+// vector written by an older binary can be served against a freshly
+// retrained model.
 func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	m, docs, rng := newModel(corpus, cfg)
 	if len(m.words) == 0 {
 		return nil, fmt.Errorf("fasttext: empty vocabulary (corpus too small for MinCount=%d)", cfg.MinCount)
 	}
-	// Output (context) vectors start at zero, per the word2vec convention.
-	// They and the negative-sampling table are dropped after training.
-	out := make([][]float64, len(m.words))
-	for i := range out {
-		out[i] = make([]float64, cfg.Dim)
-	}
+	// Output (context) vectors start at zero, per the word2vec convention,
+	// Dim floats per vocabulary word. They and the negative-sampling table
+	// are dropped after training.
+	out := make([]float64, len(m.words)*cfg.Dim)
 	negTable := buildNegTable(m.counts)
 
 	// Convert docs to index sequences (OOV dropped during training).
-	seqs := make([][]int, len(docs))
+	seqs := make([][]int32, len(docs))
 	tokens := 0
 	for i, ws := range docs {
 		for _, w := range ws {
 			if id, ok := m.vocab[w]; ok {
-				seqs[i] = append(seqs[i], id)
+				seqs[i] = append(seqs[i], int32(id))
 				tokens++
 			}
 		}
@@ -213,6 +222,7 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 	step := 0
 	hidden := make([]float64, cfg.Dim)
 	grad := make([]float64, cfg.Dim)
+	var pairs []pair
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, seq := range seqs {
 			for pos, center := range seq {
@@ -221,36 +231,38 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 					lr = cfg.LR * 0.0001
 				}
 				step++
+				// Draw the window and every negative before any update;
+				// updates use no randomness, so the draws are the same as
+				// when they interleave pair by pair.
 				window := 1 + rng.Intn(cfg.Window)
-				inputs := m.rows[center]
-				m.composeInput(inputs, hidden)
-				for i := range grad {
-					grad[i] = 0
-				}
-				changed := false
+				pairs = pairs[:0]
 				for off := -window; off <= window; off++ {
 					cpos := pos + off
 					if off == 0 || cpos < 0 || cpos >= len(seq) {
 						continue
 					}
 					target := seq[cpos]
-					updatePair(hidden, grad, out[target], 1, lr)
+					pairs = append(pairs, pair{row: target, label: 1})
 					for n := 0; n < cfg.NegSamples; n++ {
 						neg := negTable[rng.Intn(len(negTable))]
 						if neg == target {
 							continue
 						}
-						updatePair(hidden, grad, out[neg], 0, lr)
+						pairs = append(pairs, pair{row: neg, label: 0})
 					}
-					changed = true
 				}
-				if changed {
-					scale := 1.0 / float64(len(inputs))
-					for _, idx := range inputs {
-						v := m.row(idx)
-						for i := range v {
-							v[i] += grad[i] * scale
-						}
+				if len(pairs) == 0 {
+					continue
+				}
+				inputs := m.rows[center]
+				m.composeInput(inputs, hidden)
+				clear(grad)
+				applyPairs(hidden, grad, out, pairs, lr)
+				scale := 1.0 / float64(len(inputs))
+				for _, idx := range inputs {
+					v := m.row(idx)
+					for i := range v {
+						v[i] += grad[i] * scale
 					}
 				}
 			}
@@ -260,18 +272,100 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// updatePair applies one (hidden, output-vector) SGD step with label 1
-// (positive) or 0 (negative), accumulating the input-side gradient.
-func updatePair(hidden, grad, ov []float64, label float64, lr float64) {
-	dot := 0.0
-	for i := range hidden {
-		dot += hidden[i] * ov[i]
+// pair is one SGD step of a centre word: output row row, with label 1 for
+// the context word and 0 for a negative sample.
+type pair struct {
+	row   int32
+	label float64
+}
+
+// applyPairs applies the SGD steps of one centre word, in order, to the
+// flat output matrix out (len(hidden) floats per row), accumulating the
+// input-side gradient into grad. For each pair, with ov its output row:
+//
+//	dot = Σ hidden[i]·ov[i]   (left to right)
+//	g = (label − sigmoid(dot))·lr
+//	grad[i] += g·ov[i]; ov[i] += g·hidden[i]
+//
+// It walks the pairs in runs of up to four whose output rows are pairwise
+// distinct; a repeated row ends a run, since that pair must see the
+// earlier pair's update of the row. A run computes its dot products in one
+// pass over hidden with one accumulator per pair, then each g, then one
+// fused pass that applies every pair's grad and ov update to element i in
+// pair order.
+//
+// The result is bit-identical to stepping the pairs one at a time. hidden
+// is fixed for the whole centre. No pair of a run writes another pair's
+// row, so each dot product reads the row exactly as the one-at-a-time
+// order would, and is its own left-to-right sum. Every grad[i] and ov[i]
+// receives the same operations, with the same operands, in the same order.
+// Only the interleaving of independent values changes. The expressions
+// keep their one-at-a-time shapes, so any multiply-add contraction the
+// compiler applies on a platform applies alike.
+func applyPairs(hidden, grad, out []float64, pairs []pair, lr float64) {
+	d := len(hidden)
+	grad = grad[:d]
+	for len(pairs) > 0 {
+		n := distinctRun(pairs)
+		if n < 4 {
+			for _, p := range pairs[:n] {
+				ov := out[int(p.row)*d:][:d]
+				dot := 0.0
+				for i, h := range hidden {
+					dot += h * ov[i]
+				}
+				g := (p.label - sigmoid(dot)) * lr
+				for i, h := range hidden {
+					grad[i] += g * ov[i]
+					ov[i] += g * h
+				}
+			}
+			pairs = pairs[n:]
+			continue
+		}
+		o0 := out[int(pairs[0].row)*d:][:d]
+		o1 := out[int(pairs[1].row)*d:][:d]
+		o2 := out[int(pairs[2].row)*d:][:d]
+		o3 := out[int(pairs[3].row)*d:][:d]
+		var d0, d1, d2, d3 float64
+		for i, h := range hidden {
+			d0 += h * o0[i]
+			d1 += h * o1[i]
+			d2 += h * o2[i]
+			d3 += h * o3[i]
+		}
+		g0 := (pairs[0].label - sigmoid(d0)) * lr
+		g1 := (pairs[1].label - sigmoid(d1)) * lr
+		g2 := (pairs[2].label - sigmoid(d2)) * lr
+		g3 := (pairs[3].label - sigmoid(d3)) * lr
+		for i, h := range hidden {
+			gi := grad[i]
+			gi += g0 * o0[i]
+			o0[i] += g0 * h
+			gi += g1 * o1[i]
+			o1[i] += g1 * h
+			gi += g2 * o2[i]
+			o2[i] += g2 * h
+			gi += g3 * o3[i]
+			o3[i] += g3 * h
+			grad[i] = gi
+		}
+		pairs = pairs[4:]
 	}
-	g := (label - sigmoid(dot)) * lr
-	for i := range hidden {
-		grad[i] += g * ov[i]
-		ov[i] += g * hidden[i]
+}
+
+// distinctRun returns how many leading pairs, at most four, have pairwise
+// distinct output rows.
+func distinctRun(pairs []pair) int {
+	n := 1
+	for ; n < 4 && n < len(pairs); n++ {
+		for _, p := range pairs[:n] {
+			if p.row == pairs[n].row {
+				return n
+			}
+		}
 	}
+	return n
 }
 
 func sigmoid(x float64) float64 {
@@ -285,9 +379,9 @@ func sigmoid(x float64) float64 {
 }
 
 // buildNegTable returns the unigram^0.75 negative-sampling table.
-func buildNegTable(counts []int) []int {
+func buildNegTable(counts []int) []int32 {
 	const tableSize = 1 << 17
-	table := make([]int, 0, tableSize)
+	table := make([]int32, 0, tableSize)
 	var z float64
 	for _, c := range counts {
 		z += math.Pow(float64(c), 0.75)
@@ -295,11 +389,11 @@ func buildNegTable(counts []int) []int {
 	for id, c := range counts {
 		n := int(math.Ceil(math.Pow(float64(c), 0.75) / z * tableSize))
 		for i := 0; i < n; i++ {
-			table = append(table, id)
+			table = append(table, int32(id))
 		}
 	}
 	if len(table) == 0 {
-		table = []int{0}
+		table = []int32{0}
 	}
 	return table
 }
@@ -362,13 +456,24 @@ func (m *Model) hashRow(h uint32) int {
 	return len(m.words) + int(h%uint32(m.cfg.Buckets))
 }
 
-// composeInput writes the mean of the input rows into dst.
+// composeInput writes the mean of the input rows into dst. It sums four
+// rows per pass; Go evaluates dst[i] + a[i] + b[i] + c[i] + e[i] left to
+// right, so every element is the same left-to-right sum as adding the rows
+// one at a time.
 func (m *Model) composeInput(indices []int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
+	clear(dst)
+	k := 0
+	for ; k+4 <= len(indices); k += 4 {
+		a := m.row(indices[k])[:len(dst)]
+		b := m.row(indices[k+1])[:len(dst)]
+		c := m.row(indices[k+2])[:len(dst)]
+		e := m.row(indices[k+3])[:len(dst)]
+		for i := range dst {
+			dst[i] = dst[i] + a[i] + b[i] + c[i] + e[i]
+		}
 	}
-	for _, idx := range indices {
-		v := m.row(idx)
+	for _, idx := range indices[k:] {
+		v := m.row(idx)[:len(dst)]
 		for i := range dst {
 			dst[i] += v[i]
 		}

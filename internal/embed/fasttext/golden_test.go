@@ -23,6 +23,10 @@ const (
 	// its probability for every diagnostic text, from a supervised
 	// classifier trained on the same texts and their categories.
 	classifierGolden = "0eda3f502f0bc4bd3a86deef6eeb2731dc4bbf42b8beb423ca12f34cb35fa4f3"
+	// inputMatrixGolden hashes every row of that skip-gram model's input
+	// matrix, vocabulary words then all n-gram buckets, untouched ones
+	// included. It was recorded with the one-pair-at-a-time trainer.
+	inputMatrixGolden = "45607c1db1b5a1d9f0393640a53ec3290157511ae7948325a522daf89705b521"
 )
 
 // edgeCaseTexts exercise the corners of n-gram hashing: the empty string,
@@ -97,6 +101,13 @@ func TestDocVectorGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != docVectorGolden {
 		t.Fatalf("DocVector/WordVector hash = %s, want %s", got, docVectorGolden)
+	}
+	h = sha256.New()
+	for r := 0; r < len(m.in)/m.Dim(); r++ {
+		hashVector(h, m.row(r))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != inputMatrixGolden {
+		t.Fatalf("input matrix hash = %s, want %s", got, inputMatrixGolden)
 	}
 }
 
