@@ -147,7 +147,9 @@ type Config struct {
 	MultiTenant bool
 	// K is the number of demonstrations retrieved (default 5, §4.2.2).
 	K int
-	// Alpha is the temporal-decay coefficient per day (default 0.3).
+	// Alpha is the temporal-decay coefficient per day (default 0.3). New
+	// rejects a negative, NaN or infinite value: a negative decay would
+	// rank older incidents higher.
 	Alpha float64
 	// Context selects the prompt context sources (default: summarized
 	// diagnostic info).
@@ -293,6 +295,9 @@ func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) 
 		return nil, fmt.Errorf("core: fleet and chat model are required")
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Alpha < 0 || math.IsNaN(cfg.Alpha) || math.IsInf(cfg.Alpha, 0) {
+		return nil, fmt.Errorf("core: Alpha %v must be a finite, non-negative decay per day (0 selects the default 0.3)", cfg.Alpha)
+	}
 	if cfg.Partitioner != PartitionCategory && cfg.Partitioner != PartitionIVF {
 		return nil, fmt.Errorf("core: unknown partitioner %q (want %q or %q)",
 			cfg.Partitioner, PartitionCategory, PartitionIVF)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,25 @@ func newCopilot(t *testing.T, cfg Config) *Copilot {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, Config{}); err == nil {
 		t.Fatal("nil fleet/chat should fail")
+	}
+}
+
+// TestNewRejectsBadAlpha: a decay coefficient that is negative (older
+// incidents would outrank newer ones), NaN or infinite fails New with an
+// error naming Alpha instead of being accepted silently.
+func TestNewRejectsBadAlpha(t *testing.T) {
+	e := getEnv(t)
+	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
+	for _, a := range []float64{-0.3, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := New(e.corpus.Fleet, chat, Config{Alpha: a})
+		if err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Fatalf("Alpha %v: got error %v, want a rejection naming Alpha", a, err)
+		}
+	}
+	for _, a := range []float64{0, 1e-9, 0.3, 5} {
+		if _, err := New(e.corpus.Fleet, chat, Config{Alpha: a}); err != nil {
+			t.Fatalf("Alpha %v: %v", a, err)
+		}
 	}
 }
 

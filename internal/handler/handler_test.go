@@ -1,7 +1,11 @@
 package handler
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,5 +477,141 @@ func TestRunWithMatchesAmbientRun(t *testing.T) {
 	}
 	if len(repA.Steps) != len(repB.Steps) {
 		t.Fatalf("step counts diverged: %d vs %d", len(repA.Steps), len(repB.Steps))
+	}
+}
+
+// TestMatchSeesEveryWrite pins Match's decode cache against staleness:
+// a Save, a store-level Delete and a direct store Put are each visible to
+// the very next Match, and an unchanged store serves the same decode.
+func TestMatchSeesEveryWrite(t *testing.T) {
+	r := NewRegistry(nil)
+	h, err := Builtin(transport.AlertDiskSpaceLow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := &incident.Incident{ID: "i", Alert: incident.Alert{Type: transport.AlertDiskSpaceLow}}
+	if _, err := r.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	m1, err := r.Match("Transport", inc)
+	if err != nil || m1.Version != 1 {
+		t.Fatalf("first match: %+v, %v", m1, err)
+	}
+	if again, _ := r.Match("Transport", inc); again != m1 {
+		t.Fatal("unchanged store decoded the handler again")
+	}
+	h2 := h.Clone()
+	h2.Enabled = false
+	if _, err := r.Save(h2); err != nil {
+		t.Fatal(err)
+	}
+	if m2, err := r.Match("Transport", inc); err != nil || m2.Version != 2 || m2.Enabled {
+		t.Fatalf("match after Save: %+v, %v", m2, err)
+	}
+	key := handlerKey("Transport", transport.AlertDiskSpaceLow)
+	if !r.store.Delete(key) {
+		t.Fatal("delete found no key")
+	}
+	if _, err := r.Match("Transport", inc); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("match after Delete: %v, want ErrNotFound", err)
+	}
+	if _, kept := r.matched[key]; kept {
+		t.Fatal("Match kept the decode of a deleted key")
+	}
+	h3 := h.Clone()
+	h3.Name = "direct-put"
+	data, err := h3.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.store.Put(key, data)
+	if m3, err := r.Match("Transport", inc); err != nil || m3.Name != "direct-put" {
+		t.Fatalf("match after a direct Put: %+v, %v", m3, err)
+	}
+}
+
+// TestLatestIsPrivate: Latest and Version hand out private decodes, so
+// editing one leaves the handler Match shares untouched.
+func TestLatestIsPrivate(t *testing.T) {
+	r := NewRegistry(nil)
+	if _, err := r.InstallBuiltins("Transport"); err != nil {
+		t.Fatal(err)
+	}
+	inc := &incident.Incident{ID: "i", Alert: incident.Alert{Type: transport.AlertProcessCrashSpike}}
+	m, err := r.Match("Transport", inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, nodes := m.Name, len(m.Nodes)
+	for _, get := range []func() (*Handler, error){
+		func() (*Handler, error) { return r.Latest("Transport", transport.AlertProcessCrashSpike) },
+		func() (*Handler, error) { return r.Version("Transport", transport.AlertProcessCrashSpike, 1) },
+	} {
+		l, err := get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l == m {
+			t.Fatal("Latest/Version returned the shared decode")
+		}
+		l.Name = "edited"
+		l.Nodes["extra"] = &Node{ID: "extra"}
+	}
+	again, err := r.Match("Transport", inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != m || again.Name != name || len(again.Nodes) != nodes {
+		t.Fatalf("editing a Latest result changed Match: %q with %d nodes, want %q with %d", again.Name, len(again.Nodes), name, nodes)
+	}
+}
+
+// TestRegistryConcurrentMatchSave hammers Match against Save on one key
+// (run under -race in CI): every Match returns a valid handler at least as
+// new as the last version saved before the Match began.
+func TestRegistryConcurrentMatchSave(t *testing.T) {
+	r := NewRegistry(nil)
+	h, err := Builtin(transport.AlertDiskSpaceLow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	inc := &incident.Incident{ID: "i", Alert: incident.Alert{Type: transport.AlertDiskSpaceLow}}
+	var saved atomic.Int64
+	saved.Store(1)
+	const saves = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for saved.Load() < saves {
+				floor := saved.Load()
+				m, err := r.Match("Transport", inc)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if int64(m.Version) < floor || m.Validate() != nil {
+					errs <- fmt.Errorf("match returned version %d after version %d was saved", m.Version, floor)
+					return
+				}
+			}
+		}()
+	}
+	for i := 2; i <= saves; i++ {
+		v, err := r.Save(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved.Store(int64(v))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package handler
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/incident"
 	"repro/internal/kvstore"
@@ -27,6 +28,15 @@ var (
 // the paper's handler version tracking.
 type Registry struct {
 	store *kvstore.Store
+	// mu guards matched: Match's decode of each key's latest version,
+	// tagged with the store Revision read before the decode.
+	mu      sync.Mutex
+	matched map[string]decoded
+}
+
+type decoded struct {
+	rev uint64
+	h   *Handler
 }
 
 // NewRegistry returns a registry backed by the given store.
@@ -34,11 +44,11 @@ func NewRegistry(store *kvstore.Store) *Registry {
 	if store == nil {
 		store = kvstore.New()
 	}
-	return &Registry{store: store}
+	return &Registry{store: store, matched: make(map[string]decoded)}
 }
 
 func handlerKey(team string, alertType incident.AlertType) string {
-	return fmt.Sprintf("handler/%s/%s", team, alertType)
+	return "handler/" + team + "/" + string(alertType)
 }
 
 // Save validates the handler and appends it as a new version, returning the
@@ -58,13 +68,44 @@ func (r *Registry) Save(h *Handler) (int, error) {
 
 // Match returns the latest handler version for the incident's alert type
 // within the given team — the paper's 100%-accurate handler activation.
+//
+// Each stored version is decoded once: the result is shared by every
+// Match until the store changes (kvstore.Store.Revision), so it is
+// read-only. A caller that edits a handler starts from Latest or from
+// Clone.
 func (r *Registry) Match(team string, inc *incident.Incident) (*Handler, error) {
-	return r.Latest(team, inc.Alert.Type)
+	key := handlerKey(team, inc.Alert.Type)
+	rev := r.store.Revision()
+	r.mu.Lock()
+	d, ok := r.matched[key]
+	r.mu.Unlock()
+	if ok && d.rev == rev {
+		return d.h, nil
+	}
+	h, err := r.latest(key, team, inc.Alert.Type)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cur, ok := r.matched[key]
+	if err != nil {
+		if errors.Is(err, ErrNotFound) && ok && cur.rev <= rev {
+			delete(r.matched, key) // the key is gone: drop its decode
+		}
+		return nil, err
+	}
+	if !ok || cur.rev <= rev {
+		r.matched[key] = decoded{rev: rev, h: h}
+	}
+	return h, nil
 }
 
-// Latest returns the newest stored version for the team/alert type.
+// Latest returns a private decode of the newest stored version for the
+// team/alert type.
 func (r *Registry) Latest(team string, alertType incident.AlertType) (*Handler, error) {
-	data, ok := r.store.Get(handlerKey(team, alertType))
+	return r.latest(handlerKey(team, alertType), team, alertType)
+}
+
+func (r *Registry) latest(key, team string, alertType incident.AlertType) (*Handler, error) {
+	data, ok := r.store.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("handler: team %s alert type %q: %w", team, alertType, ErrNotFound)
 	}

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,6 +35,8 @@ type Store struct {
 	mu    sync.RWMutex
 	data  map[string][]Version
 	clock func() time.Time
+	// rev counts mutations; written under mu, read lock-free by Revision.
+	rev atomic.Uint64
 }
 
 // New returns an empty store stamping versions with time.Now.
@@ -54,8 +57,16 @@ func (s *Store) Put(key string, value []byte) int {
 	vs := s.data[key]
 	seq := len(vs) + 1
 	s.data[key] = append(vs, Version{Seq: seq, Value: cp, At: s.clock()})
+	s.rev.Add(1)
 	return seq
 }
+
+// Revision returns a store-wide counter that changes on every Put, every
+// Delete that removes a key, and every Load. A reader that derives state
+// from the store (a decoded value, say) can tag it with the Revision read
+// before the underlying Get and keep using it while Revision is unchanged:
+// it cannot be stale.
+func (s *Store) Revision() uint64 { return s.rev.Load() }
 
 // Get returns a copy of the latest version of key.
 func (s *Store) Get(key string) ([]byte, bool) {
@@ -104,7 +115,10 @@ func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.data[key]
-	delete(s.data, key)
+	if ok {
+		delete(s.data, key)
+		s.rev.Add(1)
+	}
 	return ok
 }
 
@@ -164,6 +178,7 @@ func (s *Store) Load(r io.Reader) error {
 	if s.data == nil {
 		s.data = make(map[string][]Version)
 	}
+	s.rev.Add(1)
 	s.mu.Unlock()
 	return nil
 }

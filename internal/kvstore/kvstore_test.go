@@ -243,3 +243,36 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRevisionChangesOnEveryMutation(t *testing.T) {
+	s := New()
+	r0 := s.Revision()
+	s.Put("a", []byte("1"))
+	r1 := s.Revision()
+	if r1 == r0 {
+		t.Fatal("Put did not change the revision")
+	}
+	s.Get("a")
+	s.Keys("")
+	if s.Revision() != r1 {
+		t.Fatal("a read changed the revision")
+	}
+	if s.Delete("missing"); s.Revision() != r1 {
+		t.Fatal("deleting a missing key changed the revision")
+	}
+	s.Delete("a")
+	r2 := s.Revision()
+	if r2 == r1 {
+		t.Fatal("Delete did not change the revision")
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if s.Revision() == r2 {
+		t.Fatal("Load did not change the revision")
+	}
+}

@@ -47,8 +47,8 @@ func scopedQueries(queries []BatchQuery, ns string) []BatchQuery {
 
 // TopKBatch on the flat store: one streaming pass over the columnar
 // backing serving every query — rows load once and each query consumes
-// them from its own bounded accumulator — with results bit-identical to
-// issuing the queries sequentially.
+// them from its own bounded accumulator and decay gate — with results
+// bit-identical to issuing the queries sequentially.
 func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	for i := range queries {
 		if err := db.checkQuery(queries[i].Vector, queries[i].K); err != nil {
@@ -61,7 +61,9 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	}
 	heaps := make([]worstFirst, len(queries))
 	bests := make([]catBest, len(queries))
+	gates := make([]decayGate, len(queries))
 	for i := range queries {
+		gates[i] = newDecayGate(queries[i].Time, queries[i].Alpha)
 		if queries[i].Diverse {
 			bests[i] = newCatBest()
 		} else {
@@ -73,14 +75,16 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	for i := range db.entries {
 		row := db.row(i)
 		e := &db.entries[i]
+		sec := e.Time.Unix()
 		for qi := range queries {
 			bq := &queries[qi]
-			if !bqScope(bq).match(e.Namespace) {
+			if !bqScope(bq).match(e.Namespace) || gates[qi].skip(sec) {
 				continue
 			}
 			d, sim := similarityAt(bq.Vector, bq.Time, row, e.Time, bq.Alpha)
 			if bq.Diverse {
 				bests[qi].offer(e.Category, e.ID, 0, i, d, sim)
+				gates[qi].raise(bests[qi].floor(bq.K))
 				continue
 			}
 			h := &heaps[qi]
@@ -90,6 +94,7 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 				}
 			}
 			h.offer(Scored{Entry: *e, Distance: d, Similarity: sim}, bq.K)
+			gates[qi].raise(h.floor(bq.K))
 		}
 	}
 	// Materialize winners while still under the store lock.
@@ -140,17 +145,22 @@ func (sh *shard) scanBatch(queries []BatchQuery, floatQ, quantQ []int, ofs []int
 
 // scanBatchFloat is the full-precision half of scanBatch: one walk of the
 // columnar rows, every member query maintaining its own bounded heap (or
-// category slots) with the same pre-checks as the sequential scan.
-// Caller holds sh.mu.
+// category slots) with the same pre-checks as the sequential scan, and
+// each decay group a decay gate. Caller holds sh.mu.
 func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardScanResult) {
 	heaps := make([]worstFirst, len(floatQ))
 	bests := make([]catBest, len(floatQ))
+	// floors[j] is member j's accumulator floor (worstFirst.floor,
+	// catBest.floor): a row whose decay is below it cannot enter.
+	floors := make([]float64, len(floatQ))
 	// Queries with an identical (Time, Alpha) pair — a flush anchored at
 	// one clock reading — share every row's decay factor, so group them
 	// and compute exp(-α·Δt) once per row per group instead of once per
 	// row per query. similarityAt's 1/(1+dist)·exp(−α·days) is the same
 	// two-operand product either way (struct-equal Times subtract
-	// identically), so grouping cannot change a bit of any result.
+	// identically), so grouping cannot change a bit of any result. The
+	// group's decay gate, driven by its members' lowest floor, skips a row
+	// no member can take before the Exp.
 	type groupKey struct {
 		t     time.Time
 		alpha float64
@@ -159,6 +169,7 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardSca
 		qt      time.Time
 		alpha   float64
 		members []int // indices into floatQ
+		gate    decayGate
 	}
 	var groups []*decayGroup
 	byKey := make(map[groupKey]*decayGroup, len(floatQ))
@@ -171,20 +182,24 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardSca
 		gk := groupKey{queries[qi].Time, queries[qi].Alpha}
 		g := byKey[gk]
 		if g == nil {
-			g = &decayGroup{qt: queries[qi].Time, alpha: queries[qi].Alpha}
+			g = &decayGroup{qt: queries[qi].Time, alpha: queries[qi].Alpha, gate: newDecayGate(queries[qi].Time, queries[qi].Alpha)}
 			byKey[gk] = g
 			groups = append(groups, g)
 		}
 		g.members = append(g.members, j)
 	}
 	// commit applies one scored row to member j with the exact sequential
-	// pre-check and tie-break.
+	// pre-check and tie-break, and records a floor that rose.
+	rose := false
 	commit := func(i, j int, dist, decay float64) {
 		sim := 1 / (1 + dist) * decay
 		bq := &queries[floatQ[j]]
 		if bq.Diverse {
 			e := &sh.entries[i]
 			bests[j].offer(e.Category, e.ID, 0, i, dist, sim)
+			if f := bests[j].floor(bq.K); f > floors[j] {
+				floors[j], rose = f, true
+			}
 			return
 		}
 		h := &heaps[j]
@@ -194,26 +209,31 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardSca
 			}
 		}
 		h.offer(Scored{Entry: sh.entries[i], Distance: dist, Similarity: sim}, bq.K)
+		if f := h.floor(bq.K); f > floors[j] {
+			floors[j], rose = f, true
+		}
 	}
 	pend := make([]int, 0, len(floatQ))
 	for i := range sh.entries {
 		row := sh.row(i)
-		et := sh.entries[i].Time
+		e := &sh.entries[i]
+		sec := e.Time.Unix()
 		for _, g := range groups {
-			days := math.Abs(g.qt.Sub(et).Hours()) / 24
+			if g.gate.skip(sec) {
+				continue
+			}
+			days := math.Abs(g.qt.Sub(e.Time).Hours()) / 24
 			decay := math.Exp(-g.alpha * days)
 			pend = pend[:0]
 			for _, j := range g.members {
 				bq := &queries[floatQ[j]]
-				if bq.Scoped && bq.Namespace != sh.entries[i].Namespace {
+				if bq.Scoped && bq.Namespace != e.Namespace {
 					continue
 				}
-				if !bq.Diverse {
-					if h := &heaps[j]; len(*h) == bq.K && decay < (*h)[0].Similarity {
-						// sim = decay/(1+dist) <= decay: this row cannot
-						// displace the worst kept one, skip the dot.
-						continue
-					}
+				if decay < floors[j] {
+					// sim = decay/(1+dist) <= decay: this row cannot
+					// enter the member's accumulator, skip the dot.
+					continue
 				}
 				pend = append(pend, j)
 			}
@@ -235,6 +255,15 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardSca
 			}
 			for _, j := range pend[base:] {
 				commit(i, j, Distance(queries[floatQ[j]].Vector, row), decay)
+			}
+			if rose {
+				// Lift the group's gate to its members' lowest floor.
+				rose = false
+				low := floors[g.members[0]]
+				for _, j := range g.members[1:] {
+					low = min(low, floors[j])
+				}
+				g.gate.raise(low)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package vectordb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -24,10 +25,13 @@ var (
 	benchStores   = map[string]Index{}
 )
 
-// benchIndex builds (and caches across benchmarks) an index of n entries.
-func benchIndex(b *testing.B, kind string, n, shards int) Index {
+// benchIndex builds (and caches across benchmarks) an index of n entries
+// whose times spread over 2022. With noPrune every entry carries
+// benchQuery's time instead, so every row's decay is 1 and the decay gate
+// can skip nothing: what the gate costs a scan it cannot shorten.
+func benchIndex(b *testing.B, kind string, n, shards int, noPrune bool) Index {
 	b.Helper()
-	key := fmt.Sprintf("%s/%d/%d", kind, n, shards)
+	key := fmt.Sprintf("%s/%d/%d/%t", kind, n, shards, noPrune)
 	benchStoresMu.Lock()
 	defer benchStoresMu.Unlock()
 	if idx, ok := benchStores[key]; ok {
@@ -41,16 +45,21 @@ func benchIndex(b *testing.B, kind string, n, shards int) Index {
 	}
 	rng := rand.New(rand.NewSource(42))
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	_, qt := benchQuery()
 	for i := 0; i < n; i++ {
 		v := make([]float64, benchDim)
 		for j := range v {
 			v[j] = rng.Float64() * 4
 		}
+		at := base.AddDate(0, 0, rng.Intn(365))
+		if noPrune {
+			at = qt
+		}
 		if err := idx.Add(Entry{
 			ID:       fmt.Sprintf("INC-%07d", i),
 			Vector:   v,
 			Category: incident.Category(fmt.Sprintf("cat-%03d", rng.Intn(163))),
-			Time:     base.AddDate(0, 0, rng.Intn(365)),
+			Time:     at,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -67,55 +76,64 @@ func benchQuery() ([]float64, time.Time) {
 	return q, time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 }
 
-// BenchmarkTopK is the flat-vs-sharded headline comparison at 1k/10k/100k
-// entries (8 shards, the k and alpha of the shipped configuration).
-func BenchmarkTopK(b *testing.B) {
+// retrievalCell is one flat-or-sharded store shape BenchmarkTopK and
+// BenchmarkTopKDiverse query.
+type retrievalCell struct {
+	name    string
+	kind    string // "flat" or "sharded"
+	shards  int
+	n       int
+	noPrune bool // every row at the query time; see benchIndex
+}
+
+// retrievalCells are 1k/10k/100k entries, flat and 8 shards, plus no-prune
+// cells at 10k and 100k.
+func retrievalCells() []retrievalCell {
+	var cells []retrievalCell
 	for _, n := range []int{1_000, 10_000, 100_000} {
-		for _, impl := range []struct {
-			name   string
-			shards int
-		}{{"flat", 0}, {"sharded8", 8}} {
-			b.Run(fmt.Sprintf("%s/n=%d", impl.name, n), func(b *testing.B) {
-				kind := "flat"
-				if impl.shards > 0 {
-					kind = "sharded"
+		cells = append(cells,
+			retrievalCell{fmt.Sprintf("flat/n=%d", n), "flat", 0, n, false},
+			retrievalCell{fmt.Sprintf("sharded8/n=%d", n), "sharded", 8, n, false})
+	}
+	for _, n := range []int{10_000, 100_000} {
+		cells = append(cells,
+			retrievalCell{fmt.Sprintf("noprune/flat/n=%d", n), "flat", 0, n, true},
+			retrievalCell{fmt.Sprintf("noprune/sharded8/n=%d", n), "sharded", 8, n, true})
+	}
+	return cells
+}
+
+// BenchmarkTopK is the flat-vs-sharded headline comparison (the k and
+// alpha of the shipped configuration).
+func BenchmarkTopK(b *testing.B) {
+	for _, c := range retrievalCells() {
+		b.Run(c.name, func(b *testing.B) {
+			idx := benchIndex(b, c.kind, c.n, c.shards, c.noPrune)
+			q, qt := benchQuery()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := idx.TopK(q, qt, 5, 0.3); err != nil {
+					b.Fatal(err)
 				}
-				idx := benchIndex(b, kind, n, impl.shards)
-				q, qt := benchQuery()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := idx.TopK(q, qt, 5, 0.3); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkTopKDiverse mirrors BenchmarkTopK for the diversity-constrained
 // retrieval the shipped pipeline uses.
 func BenchmarkTopKDiverse(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		for _, impl := range []struct {
-			name   string
-			shards int
-		}{{"flat", 0}, {"sharded8", 8}} {
-			b.Run(fmt.Sprintf("%s/n=%d", impl.name, n), func(b *testing.B) {
-				kind := "flat"
-				if impl.shards > 0 {
-					kind = "sharded"
+	for _, c := range retrievalCells() {
+		b.Run(c.name, func(b *testing.B) {
+			idx := benchIndex(b, c.kind, c.n, c.shards, c.noPrune)
+			q, qt := benchQuery()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := idx.TopKDiverse(q, qt, 5, 0.3); err != nil {
+					b.Fatal(err)
 				}
-				idx := benchIndex(b, kind, n, impl.shards)
-				q, qt := benchQuery()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := idx.TopKDiverse(q, qt, 5, 0.3); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -587,6 +605,122 @@ func measureBatchSpeedup(b *testing.B, idx Index, queries []BatchQuery) float64 
 	seq := timeReps(sequential)
 	bat := timeReps(batched)
 	return float64(seq) / float64(bat)
+}
+
+// BenchmarkDecayGateCost measures the decay gate in-process: each gated
+// exact scan against its ungated reference (gate_test.go) over the same
+// rows. Every iteration runs the gated and the ungated scan back to back,
+// the one that goes first alternating, so machine drift cancels inside a
+// pair, and the per-pair time ratio gated/ungated is reported at its
+// quartiles (ratio-p25/p50/p75; ns/op covers both scans). On the noprune
+// stores (every row at the query time) the gate can skip nothing, so the
+// ratio is what it costs a scan it cannot shorten; on the spread stores
+// (rows over a year, alpha 0.3/day) it is what it saves. Kernels: the flat
+// store's TopK and TopKDiverse scans, and over the eight shards of the
+// sharded store run one after another, the per-shard TopK, the per-shard
+// diverse scan the fan-out merges, the inline diverse scan, and the
+// shared-row batch scan serving 16 co-timed queries. Results are recorded
+// in BENCH_retrieval.json.
+func BenchmarkDecayGateCost(b *testing.B) {
+	const k, alpha = 5, 0.3
+	q, qt := benchQuery()
+	rng := rand.New(rand.NewSource(7))
+	batch := make([]BatchQuery, 16)
+	all := make([]int, len(batch))
+	for i := range batch {
+		v := make([]float64, benchDim)
+		for j := range v {
+			v[j] = rng.Float64() * 4
+		}
+		batch[i] = BatchQuery{Vector: v, Time: qt, K: k, Alpha: alpha, Diverse: i%2 == 1}
+		all[i] = i
+	}
+	for _, fx := range []struct {
+		name    string
+		n       int
+		noPrune bool
+	}{{"noprune/n=10000", 10_000, true}, {"noprune/n=100000", 100_000, true},
+		{"spread/n=10000", 10_000, false}, {"spread/n=100000", 100_000, false}} {
+		flat := benchIndex(b, "flat", fx.n, 0, fx.noPrune).(*DB)
+		sd := benchIndex(b, "sharded", fx.n, 8, fx.noPrune).(*Sharded)
+		shards := sd.gen.shard
+		kernels := []struct {
+			name           string
+			gated, ungated func()
+		}{
+			{"flat/topk",
+				func() { flat.topKScoped(q, qt, k, alpha, scope{}) },
+				func() { ungatedDBTopK(flat, q, qt, k, alpha, scope{}) }},
+			{"flat/diverse",
+				func() { flat.topKDiverseScoped(q, qt, k, alpha, scope{}) },
+				func() { ungatedDBDiverse(flat, q, qt, k, alpha, scope{}) }},
+			{"sharded8/topk",
+				func() {
+					for _, sh := range shards {
+						sh.topK(q, qt, k, alpha, scope{})
+					}
+				},
+				func() {
+					for _, sh := range shards {
+						ungatedShardTopK(sh, q, qt, k, alpha, scope{})
+					}
+				}},
+			{"sharded8/diverse",
+				func() {
+					for _, sh := range shards {
+						sh.categoryBest(q, qt, k, alpha, scope{})
+					}
+				},
+				func() {
+					for _, sh := range shards {
+						ungatedShardCategoryBest(sh, q, qt, k, alpha, scope{})
+					}
+				}},
+			{"sharded8/inline",
+				func() { sd.categoryBestInline(shards, q, qt, k, alpha, scope{}) },
+				func() { ungatedInline(shards, q, qt, k, alpha, scope{}) }},
+			{"sharded8/batch16",
+				func() {
+					for _, sh := range shards {
+						sh.mu.RLock()
+						sh.scanBatchFloat(batch, all, make(shardScanResult, len(batch)))
+						sh.mu.RUnlock()
+					}
+				},
+				func() {
+					for _, sh := range shards {
+						ungatedScanBatchFloat(sh, batch, all)
+					}
+				}},
+		}
+		for _, kn := range kernels {
+			b.Run(fx.name+"/"+kn.name, func(b *testing.B) {
+				ratios := make([]float64, b.N)
+				b.ResetTimer()
+				for i := range ratios {
+					var g, u time.Duration
+					if i%2 == 0 {
+						g, u = timeOnce(kn.gated), timeOnce(kn.ungated)
+					} else {
+						u, g = timeOnce(kn.ungated), timeOnce(kn.gated)
+					}
+					ratios[i] = float64(g) / float64(u)
+				}
+				b.StopTimer()
+				sort.Float64s(ratios)
+				for _, p := range []int{25, 50, 75} {
+					b.ReportMetric(ratios[(len(ratios)-1)*p/100], fmt.Sprintf("ratio-p%d", p))
+				}
+			})
+		}
+	}
+}
+
+// timeOnce returns how long one call of fn takes.
+func timeOnce(fn func()) time.Duration {
+	start := time.Now()
+	fn()
+	return time.Since(start)
 }
 
 // BenchmarkTopKBatch measures scan-once-per-shard batched retrieval at

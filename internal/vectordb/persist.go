@@ -90,6 +90,10 @@ func decodeSnapshotFrom(dec *gob.Decoder, dim int) (snapshot, error) {
 			return snapshot{}, fmt.Errorf("vectordb: load: snapshot entry %d (%s) has dim %d, snapshot declares %d",
 				i, e.ID, len(e.Vector), snap.Dim)
 		}
+		if j := nonFinite(e.Vector); j >= 0 {
+			return snapshot{}, fmt.Errorf("vectordb: load: snapshot entry %d (%s) has non-finite component %d (%v)",
+				i, e.ID, j, e.Vector[j])
+		}
 		if seen[e.ID] {
 			return snapshot{}, fmt.Errorf("vectordb: load: snapshot has duplicate ID %s", e.ID)
 		}

@@ -304,10 +304,11 @@ func routeTo(p Partitioner, e Entry) (int, error) {
 	return dst, nil
 }
 
-// Add stores an entry, rejecting dimension mismatches, duplicate IDs, and
-// out-of-range partitioner placements. Concurrent Adds contend only on the
-// destination shard's lock; during a rebalance they route through the new
-// generation's partitioner, so nothing lands in a draining shard.
+// Add stores an entry, rejecting dimension mismatches, duplicate IDs,
+// non-finite vector components, and out-of-range partitioner placements.
+// Concurrent Adds contend only on the destination shard's lock; during a
+// rebalance they route through the new generation's partitioner, so
+// nothing lands in a draining shard.
 func (s *Sharded) Add(e Entry) error {
 	if err := validateEntry(s.dim, e); err != nil {
 		return err
@@ -785,15 +786,17 @@ const diverseInlineMax = 4096
 // row indexes stay stable across the brief per-shard lock releases.
 func (s *Sharded) categoryBestInline(shards []*shard, query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
 	b := newCatBest()
+	g := newDecayGate(qt, alpha)
 	for si, sh := range shards {
 		sh.mu.RLock()
 		for i := range sh.entries {
 			e := &sh.entries[i]
-			if !ns.match(e.Namespace) {
+			if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
 				continue
 			}
 			d, sim := similarityAt(query, qt, sh.row(i), e.Time, alpha)
 			b.offer(e.Category, e.ID, si, i, d, sim)
+			g.raise(b.floor(k))
 		}
 		sh.mu.RUnlock()
 	}
@@ -822,8 +825,9 @@ func (sh *shard) topK(query []float64, qt time.Time, k int, alpha float64, ns sc
 // the quantized path's full-precision fallback.
 func (sh *shard) topKLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
 	h := make(worstFirst, 0, k+1)
+	g := newDecayGate(qt, alpha)
 	for i := range sh.entries {
-		if !ns.match(sh.entries[i].Namespace) {
+		if !ns.match(sh.entries[i].Namespace) || g.skip(sh.entries[i].Time.Unix()) {
 			continue
 		}
 		d, s := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
@@ -833,6 +837,7 @@ func (sh *shard) topKLocked(query []float64, qt time.Time, k int, alpha float64,
 			}
 		}
 		h.offer(Scored{Entry: sh.entries[i], Distance: d, Similarity: s}, k)
+		g.raise(h.floor(k))
 	}
 	for i := range h {
 		h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
@@ -852,13 +857,15 @@ func (sh *shard) categoryBest(query []float64, qt time.Time, k int, alpha float6
 // lock — shared with the quantized path's full-precision fallback.
 func (sh *shard) categoryBestLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
 	b := newCatBest()
+	g := newDecayGate(qt, alpha)
 	for i := range sh.entries {
 		e := &sh.entries[i]
-		if !ns.match(e.Namespace) {
+		if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
 			continue
 		}
 		d, s := similarityAt(query, qt, sh.row(i), e.Time, alpha)
 		b.offer(e.Category, e.ID, 0, i, d, s)
+		g.raise(b.floor(k))
 	}
 	return sh.materializeSlots(b.top(k))
 }

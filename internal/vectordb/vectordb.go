@@ -12,6 +12,27 @@
 // recurring incidents cluster within ~20 days, so a recent incident is a
 // far better demonstration than an old one at equal embedding distance.
 //
+// # Decay-bounded exact scans
+//
+// The first factor is at most 1, so a row's similarity never exceeds its
+// decay e^(−α·|T(a) − T(b)|), and in floating point too. Every
+// full-precision exact scan (flat and per-shard TopK and TopKDiverse, the
+// sharded inline diverse scan, both TopKBatch executors) therefore skips,
+// once its accumulator holds k candidates, every row whose time lies
+// outside the window where the decay alone could still reach the k-th
+// best similarity τ: one timestamp compare instead of a distance and an
+// Exp. The window is |Δt| ≤ (−ln τ)/α days plus a margin that absorbs
+// every rounding on both sides (derivation on decayGate). The sharded
+// batch scan, which computes each row's decay once per group of co-timed
+// queries, gates a group on its members' lowest floor and then skips each
+// member whose floor that decay is below. The rows a scan keeps are
+// scored by the unchanged arithmetic, so results are BIT-IDENTICAL to
+// scoring every row — pinned by a differential oracle against the ungated
+// loops and FuzzDecayGate. The gate is off for α ≤ 0. Stores reject
+// vectors with a NaN or ±Inf component, in entries, snapshots and queries
+// alike, so no similarity a gated scan compares is NaN. The quantized
+// two-stage scan is not gated.
+//
 // # Pluggable indexes
 //
 // The pipeline is written against the Index interface, with two swappable
@@ -292,8 +313,8 @@ type Index interface {
 	Dim() int
 	// Len returns the number of stored entries.
 	Len() int
-	// Add stores an entry, rejecting dimension mismatches and duplicate
-	// IDs.
+	// Add stores an entry, rejecting dimension mismatches, duplicate IDs
+	// and non-finite vector components.
 	Add(e Entry) error
 	// Get returns the entry with the given ID.
 	Get(id string) (Entry, bool)
@@ -419,8 +440,9 @@ func (db *DB) Len() int {
 	return len(db.entries)
 }
 
-// validateEntry checks an entry against the store dimensionality; shared
-// by every Index implementation so they reject identically.
+// validateEntry checks an entry against the store dimensionality and
+// rejects non-finite components; shared by every Index implementation so
+// they reject identically.
 func validateEntry(dim int, e Entry) error {
 	if len(e.Vector) != dim {
 		return fmt.Errorf("vectordb: entry %s has dim %d, store has %d", e.ID, len(e.Vector), dim)
@@ -428,10 +450,24 @@ func validateEntry(dim int, e Entry) error {
 	if e.ID == "" {
 		return fmt.Errorf("vectordb: entry has empty ID")
 	}
+	if i := nonFinite(e.Vector); i >= 0 {
+		return fmt.Errorf("vectordb: entry %s has non-finite component %d (%v)", e.ID, i, e.Vector[i])
+	}
 	return nil
 }
 
-// Add stores an entry, rejecting dimension mismatches and duplicate IDs.
+// nonFinite returns the index of v's first NaN or ±Inf component, or -1.
+func nonFinite(v []float64) int {
+	for i, x := range v {
+		if x-x != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// Add stores an entry, rejecting dimension mismatches, duplicate IDs and
+// non-finite vector components.
 func (db *DB) Add(e Entry) error {
 	if err := validateEntry(db.dim, e); err != nil {
 		return err
@@ -524,6 +560,87 @@ func similarityAt(query []float64, qt time.Time, vec []float64, et time.Time, al
 	return dist, sim
 }
 
+// decayGate prunes the rows of one exact scan by their timestamp alone.
+// similarityAt returns sim = fl(fl(1/fl(1+d))·decay), and for d ≥ 0 the
+// factor fl(1/fl(1+d)) is at most 1 (rounding is monotone), so sim ≤ decay;
+// a NaN d gives a NaN sim, which never displaces a full accumulator. Once
+// the scan's accumulator holds k candidates whose worst scores τ, a row
+// whose decay is below τ cannot enter it, and the gate skips every row
+// farther than cut from the query time before computing its distance or
+// its Exp. Surviving rows run the unchanged similarityAt, so a gated scan
+// returns bit-identical results.
+//
+// With L = −Log(τ), cut is (L+1e-12)·(1+1e-9)/α days, rounded up to a
+// nanosecond. For |qt−et| > cut the exact exponent α·|Δt|/day is at least
+// (L+1e-12)·(1+1e-9). Each rounding between it and the exponent
+// similarityAt computes (Duration.Hours, /24, α·days, and the gate's own
+// Log, /α and ·day) is a relative error below 1e-14, which the 1e-9
+// factor absorbs, so the computed exponent still exceeds the true −ln τ by
+// 1e-12, and Exp, within one ulp, returns at most
+// τ·e^(−1e-12)·(1+2^−52) < τ.
+//
+// The gate holds the window as Unix seconds [lo, hi], lo the second of
+// qt−cut and hi that of qt+cut, and skips a row whose Unix second lies
+// outside it: one integer compare per side. A row before second lo is
+// stamped before qt−cut and a row after second hi after qt+cut, so
+// |qt.Sub(et)| > cut (Sub saturates only when the true difference exceeds
+// every Duration, past any cut too). Rows within the boundary seconds are
+// scored, which is always safe. Unix seconds read the wall clock, and so
+// does Sub unless both times carry a monotonic clock reading, so a query
+// time that carries one (an unstripped time.Now()) leaves the gate off.
+// Unix seconds wrap only ~292 billion years before 1970: a window whose
+// low end wraps has lo > hi and stays off, and a wrapped row lands above
+// every other window, far enough that Sub saturates.
+//
+// The gate is off (skips nothing) until a positive, normal τ arrives
+// (math.Log is not accurate on subnormal inputs: on amd64 it returns
+// ≈ −709 for every one of them), for α ≤ 0 or NaN (the bound needs
+// decay ≤ 1), and while the cut would not fit in a Duration. Off is an
+// explicit flag, not a maximal window, because saturating Sub can place a
+// row beyond any cut.
+type decayGate struct {
+	qt     time.Time
+	alpha  float64
+	tau    float64 // the floor the window was derived from; only grows
+	lo, hi int64   // Unix seconds: a row stamped outside [lo, hi] has decay < tau
+	on     bool    // the window is valid
+}
+
+func newDecayGate(qt time.Time, alpha float64) decayGate {
+	if qt != qt.Round(0) { // a monotonic reading (Round(0) strips it)
+		alpha = 0
+	}
+	return decayGate{qt: qt, alpha: alpha}
+}
+
+// raise lifts the gate's floor to tau, recomputing the window only when
+// tau grows (the check the per-row call inlines); a NaN, non-positive or
+// subnormal tau leaves the gate as it is.
+func (g *decayGate) raise(tau float64) {
+	if tau > g.tau {
+		g.lift(tau)
+	}
+}
+
+func (g *decayGate) lift(tau float64) {
+	if !(g.alpha > 0) || tau < 0x1p-1022 {
+		return
+	}
+	g.tau = tau
+	ns := (-math.Log(tau) + 1e-12) * (1 + 1e-9) / g.alpha * float64(24*time.Hour)
+	if ns < math.MaxInt64 { // false for +Inf and NaN too
+		cut := time.Duration(math.Ceil(ns))
+		g.lo, g.hi = g.qt.Add(-cut).Unix(), g.qt.Add(cut).Unix()
+		g.on = g.lo <= g.hi
+	}
+}
+
+// skip reports whether a row stamped at Unix second sec cannot reach the
+// floor.
+func (g *decayGate) skip(sec int64) bool {
+	return g.on && (sec < g.lo || sec > g.hi)
+}
+
 // ranksAfter reports whether a ranks strictly after (worse than) b in
 // retrieval order: similarity descending, ties broken by older-first ID for
 // determinism.
@@ -547,6 +664,12 @@ func rankAfter(aSim float64, aID string, bSim float64, bID string) bool {
 type catBest struct {
 	slot  map[incident.Category]int
 	slots []catSlot
+	// rows counts floor calls since the last refresh, low is the floor
+	// that refresh computed, and dirty records a slot rising above low
+	// since.
+	rows  int
+	low   float64
+	dirty bool
 }
 
 type catSlot struct {
@@ -566,11 +689,62 @@ func (b *catBest) offer(cat incident.Category, id string, src, row int, dist, si
 	if !ok {
 		b.slot[cat] = len(b.slots)
 		b.slots = append(b.slots, catSlot{src: src, row: row, id: id, dist: dist, sim: sim})
+		b.dirty = b.dirty || sim > b.low
 		return
 	}
 	if cur := &b.slots[j]; rankAfter(cur.sim, cur.id, sim, id) {
 		*cur = catSlot{src: src, row: row, id: id, dist: dist, sim: sim}
+		b.dirty = b.dirty || sim > b.low
 	}
+}
+
+// Floor refresh cadence and the largest k it serves: the k best
+// similarities are selected into a stack array, so the floor costs no
+// allocation, and a larger k leaves the gate off.
+const (
+	catFloorEvery = 32
+	catFloorMaxK  = 32
+)
+
+// floor returns a lower bound on the k-th best slot's similarity, for the
+// decay gate; call it once per scored row. It refreshes at most every
+// catFloorEvery calls, and only after a slot rose above it; slots only
+// improve, so a stale floor is lower than the true one. It stays 0 until
+// k slots exist. NaN slots do not reach a gate: stored and query vectors
+// are finite (validateEntry, checkQuery), so a similarity is NaN only for
+// α = NaN, or α = ±Inf at Δt = 0 where every other decay is 0 or +Inf;
+// then τ is 0 or α ≤ 0, the gate stays off, and no decay falls below a
+// floor.
+func (b *catBest) floor(k int) float64 {
+	if b.rows++; b.rows >= catFloorEvery && b.dirty {
+		b.refresh(k)
+	}
+	return b.low
+}
+
+func (b *catBest) refresh(k int) {
+	b.rows, b.dirty = 0, false
+	if k > catFloorMaxK || len(b.slots) < k {
+		return
+	}
+	var best [catFloorMaxK]float64 // the k best so far, descending
+	m := 0
+	for i := range b.slots {
+		s := b.slots[i].sim
+		if m == k {
+			if s <= best[k-1] {
+				continue
+			}
+			m--
+		}
+		j := m
+		for ; j > 0 && best[j-1] < s; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = s
+		m++
+	}
+	b.low = best[k-1]
 }
 
 // top reorders the slots in place and returns the k best-ranked, best
@@ -613,13 +787,19 @@ func (c *catSlot) scored(e Entry, vec []float64) Scored {
 // best; a category cut short elsewhere arrives at worst with a worse
 // representative, which cannot displace a true top-k member. Keep-best is
 // commutative, associative and idempotent, so an entry seen twice (a
-// migrating row mid-rebalance) merges with itself.
+// migrating row mid-rebalance) merges with itself. Categories reach the
+// final heap in first-seen order, so even NaN similarities, which the
+// total order does not cover, merge deterministically.
 func mergeDiverse(parts [][]Scored, k int) []Scored {
-	best := make(map[incident.Category]Scored)
+	slot := make(map[incident.Category]int)
+	var best []Scored
 	for _, scs := range parts {
 		for _, sc := range scs {
-			if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-				best[sc.Entry.Category] = sc
+			if j, ok := slot[sc.Entry.Category]; !ok {
+				slot[sc.Entry.Category] = len(best)
+				best = append(best, sc)
+			} else if ranksAfter(best[j], sc) {
+				best[j] = sc
 			}
 		}
 	}
@@ -651,6 +831,16 @@ func (h *worstFirst) offer(sc Scored, k int) {
 	}
 }
 
+// floor is the decay gate's bound for a heap of capacity k: the root's
+// similarity once the heap is full (a row below it fails the pre-check
+// every scan makes), 0 before.
+func (h worstFirst) floor(k int) float64 {
+	if len(h) < k {
+		return 0
+	}
+	return h[0].Similarity
+}
+
 // drain empties the heap into a best-first ordered slice.
 func (h *worstFirst) drain() []Scored {
 	out := make([]Scored, len(*h))
@@ -667,6 +857,9 @@ func checkQuery(dim int, query []float64, k int) error {
 	}
 	if k <= 0 {
 		return fmt.Errorf("vectordb: k must be positive, got %d", k)
+	}
+	if i := nonFinite(query); i >= 0 {
+		return fmt.Errorf("vectordb: query has non-finite component %d (%v)", i, query[i])
 	}
 	return nil
 }
@@ -701,13 +894,15 @@ func (db *DB) topKDiverseScoped(query []float64, qt time.Time, k int, alpha floa
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	b := newCatBest()
+	g := newDecayGate(qt, alpha)
 	for i := range db.entries {
 		e := &db.entries[i]
-		if !ns.match(e.Namespace) {
+		if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
 			continue
 		}
 		d, s := similarityAt(query, qt, db.row(i), e.Time, alpha)
 		b.offer(e.Category, e.ID, 0, i, d, s)
+		g.raise(b.floor(k))
 	}
 	return db.materializeSlots(b.top(k)), nil
 }
@@ -738,8 +933,9 @@ func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns
 	}
 	db.mu.RLock()
 	h := make(worstFirst, 0, k+1)
+	g := newDecayGate(qt, alpha)
 	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) {
+		if !ns.match(db.entries[i].Namespace) || g.skip(db.entries[i].Time.Unix()) {
 			continue
 		}
 		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
@@ -751,6 +947,7 @@ func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns
 			}
 		}
 		h.offer(Scored{Entry: db.entries[i], Distance: d, Similarity: s}, k)
+		g.raise(h.floor(k))
 	}
 	for i := range h {
 		h[i].Entry.Vector = append([]float64(nil), db.row(db.byID[h[i].Entry.ID])...)
