@@ -200,12 +200,23 @@ func (in *Incident) SetActionOutput(key, value string) {
 // "DiagnosticInfo" context of the paper's Table 3 and the input to
 // summarization (Figure 6 shows an example for hub port exhaustion).
 func (in *Incident) DiagnosticText() string {
+	n := 0
+	for _, ev := range in.Evidence {
+		n += len(ev.Kind) + len(ev.Source) + len(ev.Body) + 6
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, ev := range in.Evidence {
 		if i > 0 {
-			b.WriteString("\n")
+			b.WriteByte('\n')
 		}
-		fmt.Fprintf(&b, "[%s/%s]\n%s\n", ev.Kind, ev.Source, strings.TrimRight(ev.Body, "\n"))
+		b.WriteByte('[')
+		b.WriteString(string(ev.Kind))
+		b.WriteByte('/')
+		b.WriteString(ev.Source)
+		b.WriteString("]\n")
+		b.WriteString(strings.TrimRight(ev.Body, "\n"))
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package incident
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,46 @@ func TestDiagnosticTextEmpty(t *testing.T) {
 	in := sample(t)
 	if got := in.DiagnosticText(); got != "" {
 		t.Fatalf("DiagnosticText() on empty evidence = %q, want empty", got)
+	}
+}
+
+// refDiagnosticText is the fmt.Fprintf rendering DiagnosticText replaced.
+func refDiagnosticText(in *Incident) string {
+	var b strings.Builder
+	for i, ev := range in.Evidence {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "[%s/%s]\n%s\n", ev.Kind, ev.Source, strings.TrimRight(ev.Body, "\n"))
+	}
+	return b.String()
+}
+
+func TestDiagnosticTextMatchesFprintf(t *testing.T) {
+	in := sample(t)
+	check := func() {
+		t.Helper()
+		if got, want := in.DiagnosticText(), refDiagnosticText(in); got != want {
+			t.Fatalf("DiagnosticText() = %q, want %q", got, want)
+		}
+	}
+	check() // no evidence
+	at := in.CreatedAt
+	for _, ev := range []struct {
+		source string
+		kind   SourceKind
+		body   string
+	}{
+		{"ProbeLog", SourceProbe, "Total Probes: 2, Failed Probes: 2"},
+		{"SocketMetrics", SourceMetric, "Total UDP socket count: 15276\n"},
+		{"Stack", SourceStack, "at Foo()\n\n\n"},
+		{"", SourceKind(""), ""},
+		{"Empty", SourceLog, "\n"},
+		{"Percent %s %d", SourceKind("odd/kind"), "100% full\r\n\xff\xfe Ünïcödé"},
+		{"Mid", SourceConfig, "line one\n\nline three\n"},
+	} {
+		in.AddEvidence(ev.source, ev.kind, ev.body, at)
+		check()
 	}
 }
 

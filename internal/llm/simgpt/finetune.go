@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/tokenize"
 )
 
 // FineTune implements llm.FineTuner by fitting per-label centroids in the
@@ -71,7 +72,7 @@ func (t *tunedClient) Complete(req llm.Request) (llm.Response, error) {
 	if !strings.Contains(prompt, "Classify the root cause category") {
 		return t.base.Complete(req)
 	}
-	promptTokens := t.base.CountTokens(prompt)
+	promptTokens, promptHash := tokenize.EstimateTokensHash(prompt)
 	if promptTokens > t.base.cap.contextWindow {
 		return llm.Response{}, fmt.Errorf("simgpt: prompt of %d tokens exceeds context window", promptTokens)
 	}
@@ -84,7 +85,7 @@ func (t *tunedClient) Complete(req llm.Request) (llm.Response, error) {
 	// emits label strings with instability that grows with the label space
 	// ("such models are prone to generate more hallucinated results", §1).
 	// Seeded noise on the match scores models that.
-	rng := t.base.rngFor(prompt)
+	rng := t.base.rng(promptHash)
 	noise := t.base.cap.noise * (0.6 + req.Temperature)
 	bestLabel, bestSim := "", -1e9
 	labels := make([]string, 0, len(t.centroids))

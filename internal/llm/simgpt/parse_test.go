@@ -91,9 +91,9 @@ func TestScoreOptionsBitReproducible(t *testing.T) {
 		{letter: "D", body: "Certificate expired for submission service, probe failed with invalid credential error. category: CertExpiry."},
 		{letter: "E", body: "Routing table loop between hub and backend, delivery stuck, submission queues beyond limit. category: RoutingLoop."},
 	}
-	want := scoreOptions(input, opts)
+	want := readOptions(input, opts).scores()
 	for rep := 0; rep < 200; rep++ {
-		got := scoreOptions(input, opts)
+		got := readOptions(input, opts).scores()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("rep %d option %s: score bits %x, first call %x", rep, opts[i].letter,

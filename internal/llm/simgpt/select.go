@@ -3,7 +3,8 @@ package simgpt
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/tokenize"
@@ -68,22 +69,22 @@ func parsePredictionPrompt(prompt string) (input string, opts []option) {
 // explain; when no demonstration is convincing, answer option A ("Unseen
 // incident") and coin a new category keyword, as the paper's Figure 11
 // shows for the FullDisk incident.
-func (c *Client) selectOption(prompt string, temperature float64) string {
+func (c *Client) selectOption(prompt string, rng *rand.Rand, temperature float64) string {
 	input, opts := parsePredictionPrompt(prompt)
 	if len(opts) == 0 {
 		return "Answer: A\nCategory: Unknown\nExplanation: no options were provided."
 	}
-	rng := c.rngFor(prompt)
 	// Longer option lists dilute attention: scoring noise grows with the
 	// number of demonstrations, which is why "more samples in the CoT
 	// reasoning do not always incur an improvement" (§5.4 / Figure 12).
 	noise := c.cap.noise * (0.4 + temperature) * (0.6 + 0.12*float64(len(opts)))
 
-	scores := scoreOptions(input, opts)
+	r := readOptions(input, opts)
+	scores := r.scores()
 	best, bestScore := -1, -1.0
 	var unseenIdx int
-	for i, o := range opts {
-		if strings.HasPrefix(o.body, "Unseen incident") {
+	for i := range opts {
+		if r.opts[i] == nil {
 			unseenIdx = i
 			continue
 		}
@@ -96,39 +97,101 @@ func (c *Client) selectOption(prompt string, temperature float64) string {
 		// Unseen: coin a category keyword from the input's own signals.
 		keyword := SynthesizeCategory(input)
 		return fmt.Sprintf("Answer: %s\nCategory: %s\nExplanation: %s",
-			opts[unseenIdx].letter, keyword, c.explainUnseen(input, keyword))
+			opts[unseenIdx].letter, keyword, explainUnseen(r.inputSignals(3), keyword))
 	}
 	chosen := opts[best]
 	return fmt.Sprintf("Answer: %s\nCategory: %s\nExplanation: %s",
-		chosen.letter, chosen.category, c.explainMatch(input, chosen))
+		chosen.letter, chosen.category, explainMatch(r.shared(best, 4), chosen.category))
 }
 
-// scoreOptions is the model's discriminative reading of a Figure 9 prompt:
-// a weighted-cosine match between the input and every option where a
-// token's weight combines its length (exception names and component
-// identifiers are long) with its prompt-local rarity — vocabulary shared by
-// every option (telemetry boilerplate) cannot discriminate between them and
-// so carries almost no weight, mirroring how attention contrasts options.
-//
-// Tokens are interned once per call; every document is then a list of
-// distinct token IDs in first-occurrence order, and each sum runs in that
-// order, so the scores are bit-reproducible.
-func scoreOptions(input string, opts []option) []float64 {
-	var v vocab
-	inputDoc := v.doc(input)
-	optDocs := make([][]int32, len(opts))
+// reading is the model's one tokenization of a Figure 9 prompt: the
+// scoring tokens (words of at least three bytes) of the input and of every
+// option, interned once. Option scoring and the explanation both read it.
+type reading struct {
+	index  map[string]int32
+	toks   []tokenStats
+	input  []int32   // the input's distinct token IDs, first occurrence first
+	opts   [][]int32 // each option's, nil for "Unseen incident"
+	ndoc   int32     // documents read: the input and every scored option
+	docIDs []int32   // backing store of input and opts
+}
+
+// tokenStats is what a token's weight depends on.
+type tokenStats struct {
+	text    string
+	df      int32 // documents containing the token
+	lastDoc int32 // 1 + index of the last document that counted it
+	digit   bool
+}
+
+// readOptions tokenizes the input and every option except "Unseen
+// incident".
+func readOptions(input string, opts []option) *reading {
+	// A prediction prompt holds about one distinct scoring token per 28
+	// bytes and one per-document token per 16; sizing for one per 16
+	// spares the map and slices their regrowth.
+	size := len(input)
+	for _, o := range opts {
+		size += len(o.body)
+	}
+	size /= 16
+	r := &reading{
+		index:  make(map[string]int32, size),
+		toks:   make([]tokenStats, 0, size),
+		opts:   make([][]int32, len(opts)),
+		docIDs: make([]int32, 0, size),
+	}
+	r.input = r.doc(input)
 	for i, o := range opts {
-		if strings.HasPrefix(o.body, "Unseen incident") {
+		if !strings.HasPrefix(o.body, "Unseen incident") {
+			r.opts[i] = r.doc(o.body)
+		}
+	}
+	return r
+}
+
+// doc returns the distinct scoring tokens of text in first-occurrence
+// order, counting each once toward its document frequency. The result is
+// non-nil even for a text without tokens.
+func (r *reading) doc(text string) []int32 {
+	r.ndoc++
+	start := len(r.docIDs)
+	for w := range tokenize.Scan(text) {
+		if len(w) < 3 {
 			continue
 		}
-		optDocs[i] = v.doc(o.body)
+		id, ok := r.index[string(w)]
+		if !ok {
+			id = int32(len(r.toks))
+			t := string(w)
+			r.index[t] = id
+			r.toks = append(r.toks, tokenStats{text: t, digit: hasDigit(w)})
+		}
+		if tk := &r.toks[id]; tk.lastDoc != r.ndoc {
+			tk.lastDoc = r.ndoc
+			tk.df++
+			r.docIDs = append(r.docIDs, id)
+		}
 	}
+	return r.docIDs[start:len(r.docIDs):len(r.docIDs)]
+}
+
+// scores is the model's discriminative reading of the prompt: a
+// weighted-cosine match between the input and every option where a token's
+// weight combines its length (exception names and component identifiers
+// are long) with its prompt-local rarity — vocabulary shared by every
+// option (telemetry boilerplate) cannot discriminate between them and so
+// carries almost no weight, mirroring how attention contrasts options.
+//
+// Every sum runs over a document's token IDs in first-occurrence order, so
+// the scores are bit-reproducible.
+func (r *reading) scores() []float64 {
 	// w2[id] is the squared weight of token id.
-	n := float64(v.ndoc)
-	w2 := make([]float64, len(v.toks))
-	for id, tk := range v.toks {
+	n := float64(r.ndoc)
+	w2 := make([]float64, len(r.toks))
+	for id, tk := range r.toks {
 		idf := math.Log(1 + n/float64(tk.df))
-		w := math.Sqrt(float64(tk.length)) * idf * idf
+		w := math.Sqrt(float64(len(tk.text))) * idf * idf
 		// Instance details — counters, PIDs, machine names — are unique to
 		// every incident but carry no root-cause signal; a competent reader
 		// discounts them rather than treating them as rare evidence.
@@ -137,15 +200,15 @@ func scoreOptions(input string, opts []option) []float64 {
 		}
 		w2[id] = w * w
 	}
-	inInput := make([]bool, len(v.toks))
+	inInput := make([]bool, len(r.toks))
 	var inSq float64
-	for _, id := range inputDoc {
+	for _, id := range r.input {
 		inInput[id] = true
 		inSq += w2[id]
 	}
 	inNorm := math.Sqrt(inSq)
-	scores := make([]float64, len(opts))
-	for i, doc := range optDocs {
+	scores := make([]float64, len(r.opts))
+	for i, doc := range r.opts {
 		if doc == nil {
 			continue
 		}
@@ -164,101 +227,52 @@ func scoreOptions(input string, opts []option) []float64 {
 	return scores
 }
 
-// vocab interns the scoring tokens (words of at least three bytes) of one
-// scoreOptions call.
-type vocab struct {
-	ids  map[string]int32
-	toks []tokenStats
-	ndoc int32 // documents read so far
-}
-
-// tokenStats is what a token's weight depends on.
-type tokenStats struct {
-	df      int32 // documents containing the token
-	lastDoc int32 // 1 + index of the last document that counted it
-	length  int
-	digit   bool
-}
-
-// doc returns the distinct scoring tokens of text in first-occurrence
-// order, counting each once toward its document frequency. The result is
-// non-nil even for a text without tokens.
-func (v *vocab) doc(text string) []int32 {
-	if v.ids == nil {
-		v.ids = make(map[string]int32)
+// shared returns up to n distinctive tokens appearing in both the input
+// and option i, longest first, ties in byte order.
+func (r *reading) shared(i, n int) []string {
+	inOpt := make([]bool, len(r.toks))
+	for _, id := range r.opts[i] {
+		inOpt[id] = true
 	}
-	v.ndoc++
-	out := []int32{}
-	for w := range tokenize.Scan(text) {
-		if len(w) < 3 {
-			continue
-		}
-		id, ok := v.ids[string(w)]
-		if !ok {
-			id = int32(len(v.toks))
-			v.ids[string(w)] = id
-			v.toks = append(v.toks, tokenStats{length: len(w), digit: hasDigit(w)})
-		}
-		if tk := &v.toks[id]; tk.lastDoc != v.ndoc {
-			tk.lastDoc = v.ndoc
-			tk.df++
-			out = append(out, id)
+	var out []string
+	for _, id := range r.input {
+		w := r.toks[id].text
+		if inOpt[id] && (len(w) >= 8 || isSignalWord(w) || r.toks[id].digit && len(w) >= 4) {
+			out = append(out, w)
 		}
 	}
-	return out
+	return longestFirst(out, n)
+}
+
+// inputSignals is topSignals(input, n) read from the input's tokens.
+func (r *reading) inputSignals(n int) []string {
+	var out []string
+	for _, id := range r.input {
+		if w := r.toks[id].text; len(w) >= 10 || isSignalWord(w) {
+			out = append(out, w)
+		}
+	}
+	return longestFirst(out, n)
 }
 
 // explainMatch names the shared distinctive vocabulary that drove the
 // selection — the reasoning chain the CoT prompt elicits.
-func (c *Client) explainMatch(input string, chosen option) string {
-	shared := sharedSignals(input, chosen.body, 4)
+func explainMatch(shared []string, category string) string {
 	if len(shared) == 0 {
-		return fmt.Sprintf("the overall diagnostic pattern most closely matches the historical incident labelled %s.", chosen.category)
+		return fmt.Sprintf("the overall diagnostic pattern most closely matches the historical incident labelled %s.", category)
 	}
 	return fmt.Sprintf("both incidents exhibit %s, which points to the same underlying root cause category %s.",
-		joinNaturally(shared), chosen.category)
+		joinNaturally(shared), category)
 }
 
-// explainUnseen produces Figure-11-style reasoning for a coined category.
-func (c *Client) explainUnseen(input, keyword string) string {
-	signals := topSignals(input, 3)
+// explainUnseen produces Figure-11-style reasoning for a coined category
+// from the input's most distinctive signals.
+func explainUnseen(signals []string, keyword string) string {
 	if len(signals) == 0 {
 		return fmt.Sprintf("none of the historical incidents share this diagnostic pattern, suggesting a new category %q.", keyword)
 	}
 	return fmt.Sprintf("the prediction of %q was made based on the occurrence of %s, which no historical incident in the options exhibits; these signals point to a previously unseen root cause.",
 		keyword, joinNaturally(signals))
-}
-
-// sharedSignals returns up to n distinctive tokens appearing in both texts.
-func sharedSignals(a, b string, n int) []string {
-	inB := make(map[string]bool)
-	for w := range tokenize.Scan(b) {
-		if !inB[string(w)] {
-			inB[string(w)] = true
-		}
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for w := range tokenize.Scan(a) {
-		if seen[string(w)] || !inB[string(w)] {
-			continue
-		}
-		if len(w) >= 8 || signalWords[string(w)] || hasDigit(w) && len(w) >= 4 {
-			s := string(w)
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i] < out[j]
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 // topSignals returns the n most distinctive tokens of a text.
@@ -269,22 +283,28 @@ func topSignals(text string, n int) []string {
 		if seen[string(w)] {
 			continue
 		}
-		if len(w) >= 10 || signalWords[string(w)] {
+		if len(w) >= 10 || isSignalWord(w) {
 			s := string(w)
 			seen[s] = true
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
+	return longestFirst(out, n)
+}
+
+// longestFirst sorts distinct words longest first, ties in byte order, and
+// keeps the first n.
+func longestFirst(words []string, n int) []string {
+	slices.SortFunc(words, func(a, b string) int {
+		if len(a) != len(b) {
+			return len(b) - len(a)
 		}
-		return out[i] < out[j]
+		return strings.Compare(a, b)
 	})
-	if len(out) > n {
-		out = out[:n]
+	if len(words) > n {
+		words = words[:n]
 	}
-	return out
+	return words
 }
 
 func joinNaturally(words []string) string {

@@ -73,7 +73,7 @@ func TestQuickScoreOptionsBounded(t *testing.T) {
 			{letter: "B", body: a},
 			{letter: "C", body: b},
 		}
-		for _, s := range scoreOptions(input, opts) {
+		for _, s := range readOptions(input, opts).scores() {
 			if s < 0 || s > 1.0000001 {
 				return false
 			}
@@ -92,7 +92,7 @@ func TestScoreOptionsPrefersSharedRareTokens(t *testing.T) {
 		{letter: "B", body: "crash events show TenantQuotaOverflowException in QuotaService, submission queues beyond limit"},
 		{letter: "C", body: "crash events show RoutingLoopException in RoutingTable, submission queues beyond limit"},
 	}
-	scores := scoreOptions(input, opts)
+	scores := readOptions(input, opts).scores()
 	if scores[1] <= scores[2] {
 		t.Fatalf("exact match should outscore sibling: B=%.3f C=%.3f", scores[1], scores[2])
 	}

@@ -17,11 +17,12 @@
 //     lettered demonstration is scored against the input by a weighted
 //     cosine over their shared words, each word weighted by its length
 //     and its rarity among the prompt's documents, plus capability-scaled
-//     noise. The sums run in word first-occurrence order, so a prompt's
-//     scores repeat to the bit. Low-confidence maxima fall back to option
-//     A ("Unseen incident"),
-//     with a synthesized category keyword and an explanation naming the
-//     signals that drove the choice (Figure 11's behaviour).
+//     noise. The prompt's words are interned once, and the explanation
+//     names the shared signals from those same token lists. The sums run
+//     in word first-occurrence order, so a prompt's scores repeat to the
+//     bit. Low-confidence maxima fall back to option A ("Unseen
+//     incident"), with a synthesized category keyword and an explanation
+//     naming the signals that drove the choice (Figure 11's behaviour).
 //   - Embeddings: a fixed random-projection hashed bag-of-words space.
 //     Unlike the domain-trained FastText model, it has no notion of which
 //     tokens matter for incidents — the mechanism behind the GPT-4 Embed
@@ -32,6 +33,13 @@
 // GPT-4 differs from GPT-3.5 by a lower noise floor, a larger context
 // window and higher summary fidelity, reproducing the paper's small
 // GPT-4-over-GPT-3.5 edge.
+//
+// Each completion reads its prompt once for its token count and its
+// FNV-1a 64 hash (tokenize.EstimateTokensHash). The hash, XORed with the
+// client seed, seeds the completion's one random stream: math/rand's
+// generator, reproduced bit for bit by a lazy source that computes the
+// register words its first 273 draws read by LCG jump-ahead instead of
+// building the 607-word register (see lazySource).
 package simgpt
 
 import (
@@ -97,7 +105,7 @@ func (o Options) withDefaults() Options {
 
 // Client is a simulated GPT endpoint. It is immutable after New and safe
 // for concurrent use: every completion derives its random state per request
-// (an RNG seeded with seed ^ hash(prompt), see rngFor), so outputs depend
+// (one stream seeded with seed ^ FNV-1a(prompt), see rng), so outputs depend
 // only on the client seed and the prompt text, never on call order or
 // goroutine interleaving. This order-independence is the determinism
 // contract the batch pipeline API and the parallel evaluation harness rely
@@ -144,21 +152,12 @@ func (c *Client) latency(tokens int) time.Duration {
 	return c.opts.LatencyBase + time.Duration(tokens)*c.opts.LatencyPerToken
 }
 
-// rngFor derives a deterministic RNG from the client seed and the prompt's
-// FNV-1a 64 hash, so identical calls repeat and different prompts
-// decorrelate. The hash runs inline over the string, so no copy of the
-// prompt is made.
-func (c *Client) rngFor(prompt string) *rand.Rand {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(prompt); i++ {
-		h ^= uint64(prompt[i])
-		h *= prime64
-	}
-	return rand.New(rand.NewSource(c.opts.Seed ^ int64(h)))
+// rng returns a completion's random stream: math/rand's generator seeded
+// with the client seed XOR the prompt's FNV-1a 64 hash, so identical calls
+// repeat and different prompts decorrelate. The hash comes from the walk
+// that counts the prompt's tokens, and the lazy source makes seeding O(1).
+func (c *Client) rng(promptHash uint64) *rand.Rand {
+	return rand.New(newLazySource(c.opts.Seed ^ int64(promptHash)))
 }
 
 // Complete implements llm.Client. It dispatches on the prompt protocol the
@@ -171,7 +170,7 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 		return llm.Response{}, fmt.Errorf("simgpt: empty request")
 	}
 	prompt := joinMessages(req.Messages)
-	promptTokens := c.CountTokens(prompt)
+	promptTokens, promptHash := tokenize.EstimateTokensHash(prompt)
 	if promptTokens > c.cap.contextWindow {
 		return llm.Response{}, fmt.Errorf("simgpt: prompt of %d tokens exceeds %s context window %d",
 			promptTokens, c.model, c.cap.contextWindow)
@@ -179,11 +178,11 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 	var out string
 	switch {
 	case strings.Contains(prompt, "Please summarize the above input"):
-		out = c.summarize(prompt, req.Temperature)
+		out = c.summarize(prompt, c.rng(promptHash), req.Temperature)
 	case strings.Contains(prompt, "select the incident information that is most likely"):
-		out = c.selectOption(prompt, req.Temperature)
+		out = c.selectOption(prompt, c.rng(promptHash), req.Temperature)
 	case strings.Contains(prompt, "Classify the root cause category"):
-		out = c.classifyZeroShot(prompt, req.Temperature)
+		out = c.classifyZeroShot(prompt, c.rng(promptHash))
 	default:
 		out = c.genericAnswer(prompt)
 	}
@@ -209,12 +208,15 @@ func joinMessages(msgs []llm.Message) string {
 	return b.String()
 }
 
+// truncateToTokens keeps the longest run of text's leading
+// whitespace-separated fields that CountTokens puts within budget. Fields
+// are sized with the same estimate, so the cut holds even for fields that
+// split into several words ("a-b-c").
 func truncateToTokens(text string, budget int) string {
 	words := strings.Fields(text)
-	// EstimateTokens ≈ 1+len/6 per word; walk until the budget is spent.
 	used := 0
 	for i, w := range words {
-		used += 1 + len(w)/6
+		used += tokenize.EstimateTokens(w)
 		if used > budget {
 			return strings.Join(words[:i], " ")
 		}
@@ -243,13 +245,12 @@ func (c *Client) genericAnswer(prompt string) string {
 // category label, which is precisely why the paper's "GPT-4 Prompt"
 // baseline collapses to 0.026 micro-F1 in Table 2: its phrasings almost
 // never string-match the OCE-assigned labels.
-func (c *Client) classifyZeroShot(prompt string, temperature float64) string {
+func (c *Client) classifyZeroShot(prompt string, rng *rand.Rand) string {
 	body := extractAfter(prompt, "Classify the root cause category")
-	signals := topSignals(body, 2+c.rngFor(prompt).Intn(2))
+	signals := topSignals(body, 2+rng.Intn(2))
 	if len(signals) == 0 {
 		return "Category: an unclassified service anomaly"
 	}
-	_ = temperature
 	return "Category: an anomaly involving " + joinNaturally(signals)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/llm"
@@ -121,6 +122,48 @@ func TestMaxTokensTruncates(t *testing.T) {
 	}
 	if resp.CompletionTokens > 10 {
 		t.Fatalf("completion tokens = %d, want <= 10", resp.CompletionTokens)
+	}
+	// A field the counter splits into several words ("a-b-c-d-e-f" is six
+	// tokens) must be sized as CountTokens sizes it.
+	resp, err = c.Complete(llm.Request{
+		Messages:  []llm.Message{{Role: llm.RoleUser, Content: "Node a-b-c-d-e-f is broken."}},
+		MaxTokens: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Content != "Node" || resp.CompletionTokens != 1 {
+		t.Fatalf("MaxTokens 4: content %q with %d tokens, want \"Node\" with 1", resp.Content, resp.CompletionTokens)
+	}
+}
+
+// Property: truncation keeps a prefix of the text's fields within any
+// budget, counted as CountTokens counts it, and is a no-op when the text
+// already fits.
+func TestQuickTruncateWithinBudget(t *testing.T) {
+	f := func(text string, budget uint8) bool {
+		b := int(budget % 64)
+		got := truncateToTokens(text, b)
+		if tokenize.EstimateTokens(text) <= b {
+			return got == text
+		}
+		return tokenize.EstimateTokens(got) <= b &&
+			strings.HasPrefix(strings.Join(strings.Fields(text), " "), got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// Punctuated fields, where the old 1+len/6 sizing undercounted.
+	g := func(parts []uint8, budget uint8) bool {
+		var b strings.Builder
+		for _, p := range parts {
+			b.WriteString(strings.Repeat("x-", int(p%5)))
+			b.WriteString("ab.c ")
+		}
+		return f(b.String(), budget)
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package simgpt
 
 import (
-	"sort"
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/tokenize"
@@ -14,21 +16,27 @@ const (
 	summaryMaxWords    = 140
 )
 
-// signalWords are the markers that make a diagnostic sentence salient.
-var signalWords = map[string]bool{
-	"error": true, "errors": true, "failed": true, "failure": true,
-	"failures": true, "fail": true, "warning": true, "alert": true,
-	"invalid": true, "suspicious": true, "crash": true, "crashed": true,
-	"crashes": true, "full": true, "exceeded": true, "unreachable": true,
-	"unable": true, "blocked": true, "hang": true, "hanging": true,
-	"exhausted": true, "dropped": true, "stuck": true, "bogus": true,
-	"malicious": true, "poisoned": true, "exploit": true,
+// isSignalWord reports whether w is one of the markers that make a
+// diagnostic sentence salient. A switch, not a map: it is asked for every
+// word of every prompt.
+func isSignalWord[T string | []byte](w T) bool {
+	switch string(w) {
+	case "error", "errors", "failed", "failure",
+		"failures", "fail", "warning", "alert",
+		"invalid", "suspicious", "crash", "crashed",
+		"crashes", "full", "exceeded", "unreachable",
+		"unable", "blocked", "hang", "hanging",
+		"exhausted", "dropped", "stuck", "bogus",
+		"malicious", "poisoned", "exploit":
+		return true
+	}
+	return false
 }
 
 // summarize implements the Figure 7 behaviour: compress the diagnostic text
 // above the instruction into 120-140 words, keeping the most informative
 // sentences, "without outputting any unrelated information".
-func (c *Client) summarize(prompt string, temperature float64) string {
+func (c *Client) summarize(prompt string, rng *rand.Rand, temperature float64) string {
 	body, _, found := strings.Cut(prompt, "Please summarize the above input")
 	if !found {
 		body = prompt
@@ -39,15 +47,16 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 		words int
 		score float64
 	}
-	var sentences []scored
 	// Sentences are deduplicated by their token signature (words joined by
 	// spaces) and capped per shape (the signature with numeric tokens
 	// wildcarded), both built in reused buffers.
-	seen := make(map[string]bool)
-	shapeIdx := make(map[string]int)
+	sents := tokenize.Sentences(body)
+	sentences := make([]scored, 0, len(sents))
+	seen := make(map[string]bool, len(sents))
+	shapeIdx := make(map[string]int, len(sents))
 	var shapeCount []int
 	var sig, shape []byte
-	for i, s := range tokenize.Sentences(body) {
+	for i, s := range sents {
 		sig, shape = sig[:0], shape[:0]
 		n := 0
 		var sc float64
@@ -65,7 +74,7 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 				shape = append(shape, w...)
 			}
 			switch {
-			case signalWords[string(w)]:
+			case isSignalWord(w):
 				sc += 3
 			case digit:
 				sc += 1.5
@@ -118,9 +127,8 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 		return "No diagnostic information was provided."
 	}
 	// Rank by salience density, then restore document order among picks.
-	sort.SliceStable(sentences, func(i, j int) bool { return sentences[i].score > sentences[j].score })
+	slices.SortStableFunc(sentences, func(a, b scored) int { return cmp.Compare(b.score, a.score) })
 
-	rng := c.rngFor(prompt)
 	dropP := (1 - c.cap.summaryFidelity) * (1 + temperature)
 	var picks []scored
 	words := 0
@@ -141,7 +149,7 @@ func (c *Client) summarize(prompt string, temperature float64) string {
 	if len(picks) == 0 {
 		picks = sentences[:1]
 	}
-	sort.Slice(picks, func(i, j int) bool { return picks[i].idx < picks[j].idx })
+	slices.SortFunc(picks, func(a, b scored) int { return a.idx - b.idx })
 
 	var b strings.Builder
 	for i, s := range picks {

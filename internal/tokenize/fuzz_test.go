@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,6 +98,11 @@ func FuzzScan(f *testing.F) {
 		}
 		if got, want := EstimateTokens(text), refEstimateTokens(text); got != want {
 			t.Fatalf("EstimateTokens(%q) = %d, want %d", text, got, want)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(text))
+		if n, sum := EstimateTokensHash(text); n != EstimateTokens(text) || sum != h.Sum64() {
+			t.Fatalf("EstimateTokensHash(%q) = (%d, %#x), want (%d, %#x)", text, n, sum, EstimateTokens(text), h.Sum64())
 		}
 		if got, want := Sentences(text), refSentences(text); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Sentences(%q) = %q, want %q", text, got, want)
