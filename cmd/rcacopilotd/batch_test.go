@@ -90,3 +90,46 @@ func TestDaemonBatchedRetrieval(t *testing.T) {
 		t.Fatalf("flush reasons do not account for every batch: %+v", *b)
 	}
 }
+
+// TestDaemonBatchedRetrieveUnboundedK pins that a huge k is served, not
+// fatal: on a daemon with the micro-batcher on, /api/retrieve with
+// k = MaxInt64 answers 200 with every stored incident, and the daemon
+// still answers the next retrieval.
+func TestDaemonBatchedRetrieveUnboundedK(t *testing.T) {
+	c := sharedCorpus(t)
+	sys, err := rcacopilot.NewSystem(c.Fleet, rcacopilot.Config{Seed: 1, BatchMax: 4, BatchWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 40
+	if err := sys.TrainEmbedding(c.Incidents[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddHistory(c.Incidents[:n]); err != nil {
+		t.Fatal(err)
+	}
+	d := newDaemon(sys, httpd.LimitConfig{Rate: 100, Burst: 100}, 8)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		d.drain(ctx)
+		sys.Close()
+	})
+
+	var ret struct {
+		Results []struct {
+			ID string `json:"id"`
+		} `json:"results"`
+	}
+	q := "/api/retrieve?q=" + url.QueryEscape("hub connection failure")
+	if code := getJSON(t, d, q+"&k=9223372036854775807", &ret); code != http.StatusOK {
+		t.Fatalf("retrieve k=MaxInt64: status %d", code)
+	}
+	if got, want := len(ret.Results), sys.Copilot().Index().Len(); got != want {
+		t.Fatalf("retrieve k=MaxInt64 returned %d hits, want every one of the %d stored", got, want)
+	}
+	ret.Results = nil
+	if code := getJSON(t, d, q+"&k=3", &ret); code != http.StatusOK || len(ret.Results) != 3 {
+		t.Fatalf("retrieve after k=MaxInt64: status %d, %d hits", code, len(ret.Results))
+	}
+}

@@ -34,7 +34,7 @@ type BatchQuery struct {
 func bqScope(bq *BatchQuery) scope { return scope{on: bq.Scoped, ns: bq.Namespace} }
 
 // scopedQueries clones a batch with every member pinned to one namespace
-// view's scope — how the view and batcher adapters scope a whole batch.
+// view's scope — how a view scopes a whole batch.
 func scopedQueries(queries []BatchQuery, ns string) []BatchQuery {
 	out := make([]BatchQuery, len(queries))
 	copy(out, queries)
@@ -59,6 +59,8 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	if len(queries) == 0 {
 		return out, nil
 	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	heaps := make([]worstFirst, len(queries))
 	bests := make([]catBest, len(queries))
 	gates := make([]decayGate, len(queries))
@@ -67,11 +69,9 @@ func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 		if queries[i].Diverse {
 			bests[i] = newCatBest()
 		} else {
-			heaps[i] = make(worstFirst, 0, queries[i].K+1)
+			heaps[i] = newWorstFirst(queries[i].K, len(db.entries))
 		}
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	for i := range db.entries {
 		row := db.row(i)
 		e := &db.entries[i]
@@ -177,7 +177,7 @@ func (sh *shard) scanBatchFloat(queries []BatchQuery, floatQ []int, res shardSca
 		if queries[qi].Diverse {
 			bests[j] = newCatBest()
 		} else {
-			heaps[j] = make(worstFirst, 0, queries[qi].K+1)
+			heaps[j] = newWorstFirst(queries[qi].K, len(sh.entries))
 		}
 		gk := groupKey{queries[qi].Time, queries[qi].Alpha}
 		g := byKey[gk]
@@ -399,32 +399,15 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	}
 
 	for qi := range queries {
-		bq := &queries[qi]
-		if bq.Diverse {
-			parts := make([][]Scored, len(results))
-			for i, r := range results {
-				parts[i] = r[qi]
-			}
-			out[qi] = mergeDiverse(parts, bq.K)
-			continue
+		parts := make([][]Scored, len(results)) // draining shards first, then current
+		for i, r := range results {
+			parts[i] = r[qi]
 		}
-		h := make(worstFirst, 0, bq.K+1)
-		var seen map[string]bool
-		if draining != nil {
-			seen = make(map[string]bool, 2*bq.K)
+		if queries[qi].Diverse {
+			out[qi] = mergeDiverse(parts, queries[qi].K)
+		} else {
+			out[qi] = mergeTopK(parts, queries[qi].K, draining != nil)
 		}
-		for _, r := range results { // draining shards first, then current
-			for _, sc := range r[qi] {
-				if seen != nil {
-					if seen[sc.Entry.ID] {
-						continue
-					}
-					seen[sc.Entry.ID] = true
-				}
-				h.offer(sc, bq.K)
-			}
-		}
-		out[qi] = h.drain()
 	}
 	if draining != nil {
 		return out, nil

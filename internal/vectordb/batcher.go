@@ -2,7 +2,6 @@ package vectordb
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,7 @@ import (
 // after Close no query can strand in a queue nobody drains; it just
 // serves directly.
 type Batcher struct {
-	idx      Index
+	idx      root
 	maxBatch int
 	maxWait  time.Duration
 
@@ -41,7 +40,7 @@ type Batcher struct {
 	flushTimer atomic.Int64
 }
 
-var _ Index = (*Batcher)(nil)
+var _ root = (*Batcher)(nil)
 
 type batchReq struct {
 	q   BatchQuery
@@ -76,8 +75,14 @@ type BatcherStats struct {
 // NewBatcher wraps idx with a micro-batching collector: at most maxBatch
 // queries per flush (must be >= 2 — a 1-query batcher is the identity and
 // should just not be constructed), each waiting at most maxWait for
-// companions. The dispatcher goroutine runs until Close.
+// companions. idx must be one of this package's stores (DB, Sharded,
+// Durable, Batcher), not a namespace view. The dispatcher goroutine runs
+// until Close.
 func NewBatcher(idx Index, maxBatch int, maxWait time.Duration) (*Batcher, error) {
+	r, ok := idx.(root)
+	if !ok {
+		return nil, fmt.Errorf("vectordb: batcher cannot wrap %T", idx)
+	}
 	if maxBatch < 2 {
 		return nil, fmt.Errorf("vectordb: batcher max batch %d must be >= 2", maxBatch)
 	}
@@ -85,7 +90,7 @@ func NewBatcher(idx Index, maxBatch int, maxWait time.Duration) (*Batcher, error
 		return nil, fmt.Errorf("vectordb: batcher max wait %v must be positive", maxWait)
 	}
 	b := &Batcher{
-		idx:      idx,
+		idx:      r,
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		reqs:     make(chan *batchReq),
@@ -232,25 +237,14 @@ func (b *Batcher) execute(batch []*batchReq) {
 }
 
 func (b *Batcher) serveDirect(q BatchQuery) batchResp {
-	idx := b.idx
-	if q.Scoped {
-		idx = idx.Namespace(q.Namespace)
-	}
-	var (
-		scs []Scored
-		err error
-	)
-	if q.Diverse {
-		scs, err = idx.TopKDiverse(q.Vector, q.Time, q.K, q.Alpha)
-	} else {
-		scs, err = idx.TopK(q.Vector, q.Time, q.K, q.Alpha)
-	}
+	scs, err := b.idx.search(q)
 	return batchResp{scs: scs, err: err}
 }
 
-// submit routes one query through the collector, falling back to direct
-// serving once the batcher is closed.
-func (b *Batcher) submit(q BatchQuery) ([]Scored, error) {
+// search implements root: it routes one query — its namespace scope
+// riding along, so co-tenant queries coalesce too — through the
+// collector, falling back to direct serving once the batcher is closed.
+func (b *Batcher) search(q BatchQuery) ([]Scored, error) {
 	r := &batchReq{q: q, out: make(chan batchResp, 1)}
 	select {
 	case b.reqs <- r:
@@ -265,13 +259,13 @@ func (b *Batcher) submit(q BatchQuery) ([]Scored, error) {
 // TopK serves through the micro-batching collector; results are
 // bit-identical to the wrapped store's TopK (see the TopKBatch contract).
 func (b *Batcher) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha})
+	return b.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha})
 }
 
 // TopKDiverse serves through the micro-batching collector; results are
 // bit-identical to the wrapped store's TopKDiverse.
 func (b *Batcher) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true})
+	return b.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true})
 }
 
 // TopKBatch passes an already-formed batch straight through to the
@@ -295,53 +289,11 @@ func (b *Batcher) Get(id string) (Entry, bool) { return b.idx.Get(id) }
 // Categories returns the wrapped store's sorted distinct categories.
 func (b *Batcher) Categories() []incident.Category { return b.idx.Categories() }
 
-// CountByCategory returns the wrapped store's per-category counts.
-func (b *Batcher) CountByCategory() map[incident.Category]int { return b.idx.CountByCategory() }
+// tally implements root over the wrapped store.
+func (b *Batcher) tally(sc scope, cats map[incident.Category]int) int { return b.idx.tally(sc, cats) }
 
-// Save serializes the wrapped store.
-func (b *Batcher) Save(w io.Writer) error { return b.idx.Save(w) }
-
-// Load replaces the wrapped store's contents.
-func (b *Batcher) Load(r io.Reader) error { return b.idx.Load(r) }
-
-// Namespace returns a view of the batched store scoped to ns: TopK and
-// TopKDiverse still coalesce through the shared collector (the scope
+// Namespace returns a view of the batched store scoped to ns: its TopK
+// and TopKDiverse still coalesce through the shared collector (the scope
 // rides on each BatchQuery), so co-tenant queries amortize the same row
-// streams; everything else delegates to the wrapped store's view.
-func (b *Batcher) Namespace(ns string) Index { return batcherView{b: b, ns: ns} }
-
-// batcherView is the Batcher's namespace view; see Batcher.Namespace.
-type batcherView struct {
-	b  *Batcher
-	ns string
-}
-
-var _ Index = batcherView{}
-
-func (v batcherView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Namespace: v.ns, Scoped: true})
-}
-
-func (v batcherView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true, Namespace: v.ns, Scoped: true})
-}
-
-func (v batcherView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.b.idx.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-func (v batcherView) Dim() int                        { return v.b.idx.Dim() }
-func (v batcherView) Len() int                        { return v.b.idx.Namespace(v.ns).Len() }
-func (v batcherView) Add(e Entry) error               { return v.b.idx.Namespace(v.ns).Add(e) }
-func (v batcherView) Get(id string) (Entry, bool)     { return v.b.idx.Namespace(v.ns).Get(id) }
-func (v batcherView) Categories() []incident.Category { return v.b.idx.Namespace(v.ns).Categories() }
-func (v batcherView) CountByCategory() map[incident.Category]int {
-	return v.b.idx.Namespace(v.ns).CountByCategory()
-}
-
-// Save writes the WHOLE wrapped store (a view is a lens, not a
-// partition); Load likewise replaces it.
-func (v batcherView) Save(w io.Writer) error { return v.b.idx.Save(w) }
-func (v batcherView) Load(r io.Reader) error { return v.b.idx.Load(r) }
-
-func (v batcherView) Namespace(ns string) Index { return v.b.Namespace(ns) }
+// streams.
+func (b *Batcher) Namespace(ns string) Index { return view{b, ns} }

@@ -10,23 +10,18 @@ import (
 // slowIndex delays every retrieval so concurrent callers pile up behind
 // the batcher's dispatcher and coalescing is guaranteed to engage.
 type slowIndex struct {
-	Index
+	root
 	delay time.Duration
 }
 
-func (s *slowIndex) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+func (s *slowIndex) search(q BatchQuery) ([]Scored, error) {
 	time.Sleep(s.delay)
-	return s.Index.TopK(query, qt, k, alpha)
-}
-
-func (s *slowIndex) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	time.Sleep(s.delay)
-	return s.Index.TopKDiverse(query, qt, k, alpha)
+	return s.root.search(q)
 }
 
 func (s *slowIndex) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	time.Sleep(s.delay)
-	return s.Index.TopKBatch(queries)
+	return s.root.TopKBatch(queries)
 }
 
 func buildBatcherFixture(t *testing.T) (*DB, [][]float64, time.Time) {
@@ -89,7 +84,7 @@ func TestBatcherIdleFastPath(t *testing.T) {
 // counters must account for every batch.
 func TestBatcherCoalesces(t *testing.T) {
 	db, queries, qt := buildBatcherFixture(t)
-	slow := &slowIndex{Index: db, delay: 2 * time.Millisecond}
+	slow := &slowIndex{root: db, delay: 2 * time.Millisecond}
 	const maxBatch, n = 8, 64
 	b, err := NewBatcher(slow, maxBatch, time.Millisecond)
 	if err != nil {
@@ -184,7 +179,8 @@ func TestBatcherClose(t *testing.T) {
 	}
 }
 
-// TestNewBatcherValidates rejects degenerate windows.
+// TestNewBatcherValidates rejects degenerate windows and a namespace
+// view in place of a store.
 func TestNewBatcherValidates(t *testing.T) {
 	db := New(2)
 	for _, maxBatch := range []int{-1, 0, 1} {
@@ -194,6 +190,9 @@ func TestNewBatcherValidates(t *testing.T) {
 	}
 	if _, err := NewBatcher(db, 2, 0); err == nil {
 		t.Fatal("NewBatcher accepted zero maxWait")
+	}
+	if _, err := NewBatcher(db.Namespace("t"), 2, time.Millisecond); err == nil {
+		t.Fatal("NewBatcher accepted a namespace view")
 	}
 }
 

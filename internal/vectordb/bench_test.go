@@ -372,27 +372,21 @@ func timeSpreadFixture(b *testing.B) *probeFixture {
 func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 	const k, alpha, floor, slo = 5, 0.3, 0.9, 0.95
 	for _, probes := range []int{1, 2} {
-		for _, mode := range []struct {
-			name string
-			rank int
-		}{{"distance", ProbeRankDistance}, {"timeaware", ProbeRankTimeAware}} {
-			b.Run(fmt.Sprintf("rank=%s/probes=%d", mode.name, probes), func(b *testing.B) {
+		for _, mode := range []string{"distance", "timeaware"} {
+			b.Run(fmt.Sprintf("rank=%s/probes=%d", mode, probes), func(b *testing.B) {
 				f := timeSpreadFixture(b)
 				if err := f.sharded.SetProbes(probes); err != nil {
 					b.Fatal(err)
 				}
 				defer f.sharded.SetProbes(0)
-				defer f.sharded.SetProbeRanking(ProbeRankTimeAware)
-				if err := f.sharded.SetProbeRanking(ProbeRankDistance); err != nil {
-					b.Fatal(err)
-				}
-				distRecall := recallAtK(b, f.flat, f.sharded, f.queries, f.qt, k, alpha)
-				if err := f.sharded.SetProbeRanking(mode.rank); err != nil {
-					b.Fatal(err)
-				}
+				// Distance-only ranking is the distanceRanked test oracle;
+				// the store itself always ranks time-aware.
+				var served Index = distanceRanked{f.sharded}
+				distRecall := recallAtK(b, f.flat, served, f.queries, f.qt, k, alpha)
 				recall := distRecall
-				if mode.rank == ProbeRankTimeAware {
-					recall = recallAtK(b, f.flat, f.sharded, f.queries, f.qt, k, alpha)
+				if mode == "timeaware" {
+					served = f.sharded
+					recall = recallAtK(b, f.flat, served, f.queries, f.qt, k, alpha)
 					if probes == 2 && recall < floor {
 						b.Fatalf("time-aware recall@5 = %.4f at probes=%d, below the pinned %.2f floor", recall, probes, floor)
 					}
@@ -405,7 +399,7 @@ func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.sharded.TopK(q, f.qt, k, alpha); err != nil {
+					if _, err := served.TopK(q, f.qt, k, alpha); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -126,7 +126,7 @@ type Durable struct {
 	// cur is the serving store (atomic so queries never block on
 	// compaction); mu additionally serializes Add/AppendRetry against
 	// Compact/Load, which swap the writer and snapshot the store.
-	cur atomic.Value // Index
+	cur atomic.Pointer[snapshotter]
 	mu  sync.RWMutex
 	w   *wal.Writer
 
@@ -150,11 +150,12 @@ type Durable struct {
 	done chan struct{}
 }
 
-var _ Index = (*Durable)(nil)
+var _ snapshotter = (*Durable)(nil)
 
 // OpenDurable opens (or creates) the durable store rooted at dir. The
-// factory builds a fresh, fully configured inner Index (NewIndex with
-// the deployment's options); recovery loads the snapshot — if present —
+// factory builds a fresh, fully configured inner store (NewIndex with the
+// deployment's options; the store must have this package's Save and Load,
+// or OpenDurable fails); recovery loads the snapshot — if present —
 // into that staging store, replays the WAL suffix on top, truncates the
 // log at the first torn or corrupt frame, and only then swaps the
 // staging store in as the serving one: a corrupt tail can never leave a
@@ -184,9 +185,9 @@ func OpenDurable(dir string, factory func() Index, opts DurableOptions) (*Durabl
 		done:     make(chan struct{}),
 	}
 
-	staging := factory()
-	if staging == nil {
-		return nil, errors.New("vectordb: OpenDurable factory returned nil")
+	staging, err := d.stage()
+	if err != nil {
+		return nil, err
 	}
 	if f, err := os.Open(d.snapPath); err == nil {
 		lerr := staging.Load(f)
@@ -230,6 +231,16 @@ func OpenDurable(dir string, factory func() Index, opts DurableOptions) (*Durabl
 	d.cur.Store(&staging)
 	go d.housekeep()
 	return d, nil
+}
+
+// stage builds a fresh staging store from the factory.
+func (d *Durable) stage() (snapshotter, error) {
+	idx := d.factory()
+	st, ok := idx.(snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("vectordb: OpenDurable factory returned %T, which cannot Save and Load snapshots", idx)
+	}
+	return st, nil
 }
 
 // applyRecord replays one committed WAL record into the staging store.
@@ -290,7 +301,7 @@ func (d *Durable) applyRecord(staging Index, r wal.Record) error {
 }
 
 // load returns the serving store.
-func (d *Durable) load() Index { return *d.cur.Load().(*Index) }
+func (d *Durable) load() snapshotter { return *d.cur.Load() }
 
 // Unwrap exposes the serving store to AsSharded and friends.
 func (d *Durable) Unwrap() Index { return d.load() }
@@ -538,9 +549,6 @@ func (d *Durable) Get(id string) (Entry, bool) { return d.load().Get(id) }
 // Categories implements Index.
 func (d *Durable) Categories() []incident.Category { return d.load().Categories() }
 
-// CountByCategory implements Index.
-func (d *Durable) CountByCategory() map[incident.Category]int { return d.load().CountByCategory() }
-
 // TopK implements Index, lock-free against compaction.
 func (d *Durable) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
 	return d.load().TopK(query, qt, k, alpha)
@@ -556,13 +564,20 @@ func (d *Durable) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	return d.load().TopKBatch(queries)
 }
 
-// Namespace returns the durable view of one tenant namespace: Add tags
-// and journals (namespace included in the entry record), queries scope
-// through the serving store's view.
-func (d *Durable) Namespace(ns string) Index { return durableView{d: d, ns: ns} }
+// search and tally implement root over the serving store.
+func (d *Durable) search(q BatchQuery) ([]Scored, error) { return d.load().search(q) }
 
-// Save implements Index, delegating to the serving store (snapshot +
-// serving-state trailer when sharded).
+func (d *Durable) tally(sc scope, cats map[incident.Category]int) int {
+	return d.load().tally(sc, cats)
+}
+
+// Namespace returns the durable view of one tenant namespace: Add tags
+// and journals (namespace included in the entry record), reads scope
+// through the serving store.
+func (d *Durable) Namespace(ns string) Index { return view{d, ns} }
+
+// Save writes the serving store's snapshot (plus the serving-state
+// trailer when sharded).
 func (d *Durable) Save(w io.Writer) error { return d.load().Save(w) }
 
 // Load replaces the store contents with a snapshot, durably: the
@@ -572,7 +587,10 @@ func (d *Durable) Save(w io.Writer) error { return d.load().Save(w) }
 // (Compact), so the WAL directory reflects the loaded contents rather
 // than resurrecting the pre-Load history on the next open.
 func (d *Durable) Load(r io.Reader) error {
-	staging := d.factory()
+	staging, err := d.stage()
+	if err != nil {
+		return err
+	}
 	if err := staging.Load(r); err != nil {
 		return err
 	}
@@ -587,54 +605,3 @@ func (d *Durable) Load(r io.Reader) error {
 	d.cur.Store(&staging)
 	return d.compactLocked()
 }
-
-// durableView is Durable's namespace lens; see Durable.Namespace.
-type durableView struct {
-	d  *Durable
-	ns string
-}
-
-var _ Index = durableView{}
-
-func (v durableView) Dim() int { return v.d.load().Dim() }
-
-func (v durableView) Len() int { return v.d.load().Namespace(v.ns).Len() }
-
-// Add tags the entry with the view's namespace and journals it through
-// the durable root — the WAL entry record carries the tag, so replay
-// restores per-tenant contents and counts.
-func (v durableView) Add(e Entry) error {
-	e.Namespace = v.ns
-	return v.d.Add(e)
-}
-
-func (v durableView) Get(id string) (Entry, bool) { return v.d.load().Namespace(v.ns).Get(id) }
-
-func (v durableView) Categories() []incident.Category {
-	return v.d.load().Namespace(v.ns).Categories()
-}
-
-func (v durableView) CountByCategory() map[incident.Category]int {
-	return v.d.load().Namespace(v.ns).CountByCategory()
-}
-
-func (v durableView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopK(query, qt, k, alpha)
-}
-
-func (v durableView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopKDiverse(query, qt, k, alpha)
-}
-
-func (v durableView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopKBatch(queries)
-}
-
-func (v durableView) Namespace(ns string) Index { return v.d.Namespace(ns) }
-
-// Save writes the whole store, not just the view's namespace (a view is
-// a lens, not a partition); Load likewise replaces the whole store.
-func (v durableView) Save(w io.Writer) error { return v.d.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v durableView) Load(r io.Reader) error { return v.d.Load(r) }

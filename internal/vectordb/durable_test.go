@@ -385,7 +385,7 @@ func TestDurableLoadNeverClobbers(t *testing.T) {
 
 	// A good Load replaces the contents and immediately re-checkpoints,
 	// so a reopen serves the loaded corpus, not the pre-Load history.
-	other := NewIndex(8, Options{Shards: 4})
+	other := NewIndex(8, Options{Shards: 4}).(*Sharded)
 	for i := 100; i < 110; i++ {
 		if err := other.Add(durEntry(i, "")); err != nil {
 			t.Fatal(err)
@@ -502,6 +502,17 @@ func TestDurableFailsOpenOnForeignLog(t *testing.T) {
 	}
 	if _, err := OpenDurable(dir, factory, durTestOpts()); err == nil {
 		t.Fatal("open succeeded over a log with an unknown record type")
+	}
+}
+
+// TestOpenDurableNeedsSnapshots: a factory whose store cannot Save and
+// Load — nil, or a namespace view — fails the open rather than the first
+// compaction.
+func TestOpenDurableNeedsSnapshots(t *testing.T) {
+	for _, idx := range []Index{nil, New(8).Namespace("t")} {
+		if _, err := OpenDurable(t.TempDir(), func() Index { return idx }, durTestOpts()); err == nil {
+			t.Fatalf("OpenDurable accepted a %T store", idx)
+		}
 	}
 }
 

@@ -694,7 +694,7 @@ func TestRejectsNonFinite(t *testing.T) {
 	ok := Entry{ID: "ok", Vector: []float64{1, 2, 3}, Category: "c", Time: qt}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad := []float64{1, x, 3}
-		for _, idx := range []Index{New(dim), NewSharded(dim, 1, nil), NewSharded(dim, 0, idRoute{8})} {
+		for _, idx := range []snapshotter{New(dim), NewSharded(dim, 1, nil), NewSharded(dim, 0, idRoute{8})} {
 			name := fmt.Sprintf("%T %v", idx, x)
 			must(t, idx.Add(ok))
 			if err := idx.Add(Entry{ID: "bad", Vector: bad, Category: "c", Time: qt}); err == nil {

@@ -3,6 +3,8 @@ package vectordb
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -37,9 +39,10 @@ type nsState struct {
 }
 
 // nsStateFor returns the namespace's serving state, creating it (and,
-// when adaptive serving is on, its controller) on first touch. The
-// default namespace has no nsState — callers receive nil and use the
-// root store's fields.
+// when adaptive serving is on, its controller) on first write: Add,
+// Load or WAL replay, and SetNamespaceProbes. Reads resolve through
+// scopeNS instead, which never creates. The default namespace has no
+// nsState — callers receive nil and use the root store's fields.
 func (s *Sharded) nsStateFor(ns string) *nsState {
 	if ns == "" {
 		return nil
@@ -57,13 +60,19 @@ func (s *Sharded) nsStateFor(ns string) *nsState {
 }
 
 // scopeNS resolves a query scope to the namespace state governing its
-// serving knobs: nil for unscoped queries and the default namespace
-// (both use the root store's probes/overfetch/tuner).
+// serving knobs: nil for unscoped queries and the default namespace (both
+// use the root store's probes/overfetch/tuner). A namespace nothing has
+// written resolves to a detached zero state — exact fan-out, no
+// controller — so a read never creates tenant state; the namespace holds
+// no entries, so its results are empty either way.
 func (s *Sharded) scopeNS(sc scope) *nsState {
 	if !sc.on || sc.ns == "" {
 		return nil
 	}
-	return s.nsStateFor(sc.ns)
+	if v, ok := s.nss.Load(sc.ns); ok {
+		return v.(*nsState)
+	}
+	return &nsState{ns: sc.ns}
 }
 
 // probesFor returns the effective probe budget for a resolved scope.
@@ -216,78 +225,79 @@ func (s *Sharded) NamespaceStats() []NamespaceStats {
 }
 
 // Namespace returns a view of the sharded store scoped to ns; see the
-// package comment's namespace contract. The view shares the shard pool,
-// worker budget, and locks with the root store; ns != "" additionally
-// gets its own serving state (probe budget, overfetch, controller) on
-// first touch.
-func (s *Sharded) Namespace(ns string) Index {
-	if ns != "" {
-		s.nsStateFor(ns)
-	}
-	return shardedView{s: s, ns: ns}
+// package comment's namespace contract. Creating or reading through a
+// view creates no serving state: ns gets its own probe budget, overfetch
+// and controller on its first Add.
+func (s *Sharded) Namespace(ns string) Index { return view{s, ns} }
+
+// root is what the namespace view needs of the store it wraps — DB,
+// Sharded, Durable or Batcher: one query and one count, each under an
+// explicit namespace scope.
+type root interface {
+	Index
+	// search serves one query under its own scope (BatchQuery.Scoped and
+	// Namespace), as TopKDiverse when Diverse is set, else as TopK.
+	search(q BatchQuery) ([]Scored, error)
+	// tally returns how many entries the scope holds and, when cats is
+	// non-nil, adds their per-category counts into cats.
+	tally(sc scope, cats map[incident.Category]int) int
 }
 
-// shardedView is the sharded store's namespace view: a lens that tags on
-// Add and scopes every scan. Save/Load pass through to the whole store.
-type shardedView struct {
-	s  *Sharded
+// snapshotter is a root with a whole-store snapshot — what Durable
+// recovers into and compacts from. OpenDurable requires its factory's
+// stores to be snapshotters.
+type snapshotter interface {
+	root
+	Save(w io.Writer) error
+	Load(r io.Reader) error
+}
+
+// view is every store's namespace view: a lens over its root that tags
+// entries on Add and scopes every read. It holds no state of its own.
+type view struct {
+	r  root
 	ns string
 }
 
-var _ Index = shardedView{}
+func (v view) scope() scope { return scope{on: true, ns: v.ns} }
 
-func (v shardedView) scope() scope { return scope{on: true, ns: v.ns} }
+func (v view) Dim() int { return v.r.Dim() }
 
-func (v shardedView) Dim() int { return v.s.dim }
+func (v view) Len() int { return v.r.tally(v.scope(), nil) }
 
-func (v shardedView) Len() int {
-	if v.ns == "" {
-		return int(v.s.defCount.Load())
-	}
-	if st, ok := v.s.nss.Load(v.ns); ok {
-		return int(st.(*nsState).count.Load())
-	}
-	return 0
-}
-
-func (v shardedView) Add(e Entry) error {
+func (v view) Add(e Entry) error {
 	e.Namespace = v.ns
-	return v.s.Add(e)
+	return v.r.Add(e)
 }
 
-func (v shardedView) Get(id string) (Entry, bool) {
-	e, ok := v.s.Get(id)
+func (v view) Get(id string) (Entry, bool) {
+	e, ok := v.r.Get(id)
 	if !ok || e.Namespace != v.ns {
 		return Entry{}, false
 	}
 	return e, true
 }
 
-func (v shardedView) Categories() []incident.Category {
-	return sortedCategories(v.CountByCategory())
+func (v view) Categories() []incident.Category { return categoriesIn(v.r, v.scope()) }
+
+func (v view) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+	return v.r.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Namespace: v.ns, Scoped: true})
 }
 
-func (v shardedView) CountByCategory() map[incident.Category]int {
-	return v.s.countByCategoryScoped(v.scope())
+func (v view) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+	return v.r.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true, Namespace: v.ns, Scoped: true})
 }
 
-func (v shardedView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.s.topK(query, qt, k, alpha, false, v.scope())
+func (v view) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
+	return v.r.TopKBatch(scopedQueries(queries, v.ns))
 }
 
-func (v shardedView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.s.topKDiverse(query, qt, k, alpha, false, v.scope())
+func (v view) Namespace(ns string) Index { return v.r.Namespace(ns) }
+
+// categoriesIn returns the sorted distinct categories a root holds under
+// a scope.
+func categoriesIn(r root, sc scope) []incident.Category {
+	cats := make(map[incident.Category]int)
+	r.tally(sc, cats)
+	return slices.Sorted(maps.Keys(cats))
 }
-
-func (v shardedView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.s.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-// Save writes the WHOLE store, not just the view's namespace — a view is
-// a lens, not a partition. Load likewise replaces the whole store.
-func (v shardedView) Save(w io.Writer) error { return v.s.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v shardedView) Load(r io.Reader) error { return v.s.Load(r) }
-
-func (v shardedView) Namespace(ns string) Index { return v.s.Namespace(ns) }

@@ -2,7 +2,10 @@ package vectordb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -102,25 +105,79 @@ func TestNamespaceUnknown(t *testing.T) {
 	}
 }
 
-// TestNamespaceViewEquivalence holds each tenant view — flat and sharded —
-// bit-identical to a dedicated flat store of just that tenant's entries.
+// TestNamespaceViewEquivalence holds every tenant view bit-identical to a
+// dedicated flat store of just that tenant's entries, on every read a view
+// serves (TopK, TopKDiverse, TopKBatch, Len, Get, Categories) and on every
+// root: flat, sharded, a durable store over each (filled through its
+// views, so the WAL journals the tags), and a batcher over the sharded
+// store. An unknown namespace is held to an empty dedicated store.
 func TestNamespaceViewEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		flat, sh, dedicated, entries := nsTestCorpus(t, shards)
+		dedicated["nobody"] = New(flat.Dim())
+		roots := map[string]Index{"flat": flat, "sharded": sh}
+		for name, fresh := range map[string]func() Index{
+			"durable-flat":    func() Index { return New(flat.Dim()) },
+			"durable-sharded": func() Index { return NewSharded(flat.Dim(), shards, nil) },
+		} {
+			d, err := OpenDurable(t.TempDir(), fresh, durTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			for _, e := range entries {
+				must(t, d.Namespace(e.Namespace).Add(e))
+			}
+			roots[name] = d
+		}
+		b, err := NewBatcher(sh, 4, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		roots["batcher-sharded"] = b
+
 		qt := entries[0].Time
+		queries := make([][]float64, 8)
+		for i := range queries {
+			queries[i] = entries[i*7].Vector
+		}
+		batch := mixedBatch(queries, qt, 6)
 		for ns, d := range dedicated {
-			for i := 0; i < 8; i++ {
-				q := entries[i*7].Vector
-				want, err := d.TopK(q, qt, 5, 0.3)
-				must(t, err)
-				for name, view := range map[string]Index{"flat": flat.Namespace(ns), "sharded": sh.Namespace(ns)} {
+			wantBatch := sequentialBatch(t, d, batch)
+			for name, root := range roots {
+				view := root.Namespace(ns)
+				at := fmt.Sprintf("shards=%d %s ns=%q", shards, name, ns)
+				for i, q := range queries {
+					want, err := d.TopK(q, qt, 5, 0.3)
+					must(t, err)
 					got, err := view.TopK(q, qt, 5, 0.3)
 					must(t, err)
-					sameScored(t, fmt.Sprintf("shards=%d %s ns=%q query %d", shards, name, ns, i), got, want)
+					sameScored(t, fmt.Sprintf("%s TopK query %d", at, i), got, want)
+					want, err = d.TopKDiverse(q, qt, 3, 0.3)
+					must(t, err)
+					got, err = view.TopKDiverse(q, qt, 3, 0.3)
+					must(t, err)
+					sameScored(t, fmt.Sprintf("%s TopKDiverse query %d", at, i), got, want)
 				}
-			}
-			if got := sh.Namespace(ns).Len(); got != d.Len() {
-				t.Fatalf("shards=%d ns=%q Len %d != dedicated %d", shards, ns, got, d.Len())
+				gotBatch, err := view.TopKBatch(batch)
+				must(t, err)
+				for i := range batch {
+					sameScored(t, fmt.Sprintf("%s TopKBatch member %d", at, i), gotBatch[i], wantBatch[i])
+				}
+				if got := view.Len(); got != d.Len() {
+					t.Fatalf("%s: Len %d != dedicated %d", at, got, d.Len())
+				}
+				for _, e := range entries {
+					got, gok := view.Get(e.ID)
+					want, wok := d.Get(e.ID)
+					if gok != wok || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Get(%s) = %+v, %v; dedicated %+v, %v", at, e.ID, got, gok, want, wok)
+					}
+				}
+				if got, want := view.Categories(), d.Categories(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Categories %v != dedicated %v", at, got, want)
+				}
 			}
 		}
 	}
@@ -258,5 +315,96 @@ func TestNamespacePersistence(t *testing.T) {
 			must(t, err)
 			sameScored(t, fmt.Sprintf("loaded ns=%q query %d", ns, i), got, want)
 		}
+	}
+}
+
+// TestNamespaceReadsCreateNoState pins that a view is side-effect free:
+// on an adaptive sharded store — bare, under a Durable and under a
+// Batcher — reading through views of namespaces nobody wrote (Len, Get,
+// Categories, TopK, TopKDiverse, TopKBatch) leaves NamespaceStats at the
+// default row alone and the saved serving-state trailer without them.
+func TestNamespaceReadsCreateNoState(t *testing.T) {
+	const dim = 4
+	entries, queries := clusteredCorpus(5, 60, dim, 3)
+	qt := entries[0].Time
+	adaptive := func(t *testing.T) *Sharded {
+		sh := NewSharded(dim, 4, nil)
+		if _, err := sh.EnableAdaptive(AutoConfig{RecallTarget: 0.9}); err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	stores := map[string]func(t *testing.T) (Index, func(io.Writer) error){
+		"sharded": func(t *testing.T) (Index, func(io.Writer) error) {
+			sh := adaptive(t)
+			return sh, sh.Save
+		},
+		"durable": func(t *testing.T) (Index, func(io.Writer) error) {
+			d, err := OpenDurable(t.TempDir(), func() Index { return adaptive(t) }, durTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return d, d.Save
+		},
+		"batcher": func(t *testing.T) (Index, func(io.Writer) error) {
+			sh := adaptive(t)
+			b, err := NewBatcher(sh, 4, time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(b.Close)
+			return b, sh.Save
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			idx, save := open(t)
+			for _, e := range entries {
+				must(t, idx.Add(e))
+			}
+			for _, ns := range []string{"ghost-a", "ghost-b", "ghost-c"} {
+				view := idx.Namespace(ns)
+				if n := view.Len(); n != 0 {
+					t.Fatalf("ghost view Len = %d", n)
+				}
+				if _, ok := view.Get(entries[0].ID); ok {
+					t.Fatal("ghost view Get found a default-namespace entry")
+				}
+				if cats := view.Categories(); len(cats) != 0 {
+					t.Fatalf("ghost view Categories = %v", cats)
+				}
+				for _, read := range []func() ([]Scored, error){
+					func() ([]Scored, error) { return view.TopK(queries[0], qt, 5, 0.3) },
+					func() ([]Scored, error) { return view.TopKDiverse(queries[0], qt, 5, 0.3) },
+				} {
+					if hits, err := read(); err != nil || len(hits) != 0 {
+						t.Fatalf("ghost view read = %d hits, %v", len(hits), err)
+					}
+				}
+				out, err := view.TopKBatch(mixedBatch(queries, qt, 4))
+				must(t, err)
+				for i, hits := range out {
+					if len(hits) != 0 {
+						t.Fatalf("ghost view batch member %d served %d hits", i, len(hits))
+					}
+				}
+			}
+			sh, _ := AsSharded(idx)
+			if rows := sh.NamespaceStats(); len(rows) != 1 {
+				t.Fatalf("reads created tenant state: NamespaceStats has %d rows %+v", len(rows), rows)
+			}
+			var buf bytes.Buffer
+			must(t, save(&buf))
+			dec := gob.NewDecoder(&buf)
+			if _, err := decodeSnapshotFrom(dec, dim); err != nil {
+				t.Fatal(err)
+			}
+			st, err := decodeTunerState(dec)
+			must(t, err)
+			if st == nil || len(st.Namespaces) != 0 {
+				t.Fatalf("saved serving-state trailer = %+v, want one without namespaces", st)
+			}
+		})
 	}
 }

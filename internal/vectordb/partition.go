@@ -3,7 +3,6 @@ package vectordb
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // Partitioner decides which shard of a Sharded index stores an entry. In
@@ -72,31 +71,14 @@ func (p *IVF) Route(e Entry) int {
 }
 
 // centroidDists returns the Euclidean distance from the query to every
-// shard centroid, indexed by shard — the raw geometry both probe rankings
-// (distance-only and time-aware) are built from.
+// shard centroid, indexed by shard — the raw geometry probe ranking
+// blends with partition recency.
 func (p *IVF) centroidDists(query []float64) []float64 {
 	dists := make([]float64, len(p.centroids))
 	for i, c := range p.centroids {
 		dists[i] = Distance(query, c)
 	}
 	return dists
-}
-
-// nearestShards returns every shard index ordered by ascending Euclidean
-// distance between the query and the shard's centroid, ties toward the
-// lower index — the distance-only probe-selection ranking. Centroids carry
-// no timestamp, so under this ranking the temporal-decay factor of the
-// retrieval similarity cannot participate in partition selection; the
-// store's time-aware ranking (the default) folds each partition's
-// newest-entry timestamp back in (see Sharded.SetProbeRanking).
-func (p *IVF) nearestShards(query []float64) []int {
-	dists := p.centroidDists(query)
-	order := make([]int, len(dists))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	return order
 }
 
 // Distortion returns the mean training-set assignment distance (0 for a

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/incident"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -51,7 +53,7 @@ func TestLoadRejectsDimMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	for _, idx := range []Index{New(5), NewSharded(5, 4, nil)} {
+	for _, idx := range []snapshotter{New(5), NewSharded(5, 4, nil)} {
 		err := idx.Load(bytes.NewReader(snap))
 		if err == nil {
 			t.Fatal("dim mismatch should fail")
@@ -91,7 +93,7 @@ func TestLoadRejectsCorruptEntriesWithoutClobbering(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := buf.Bytes()
-			for _, idx := range []Index{New(2), NewSharded(2, 3, nil)} {
+			for _, idx := range []snapshotter{New(2), NewSharded(2, 3, nil)} {
 				must(t, idx.Add(entry("keep", "K", []float64{7, 7}, 2)))
 				err := idx.Load(bytes.NewReader(snap))
 				if err == nil {
@@ -173,12 +175,20 @@ func TestFlatShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// countByCategory is a root's per-category inventory: the scoped count
+// with a category tally, unscoped.
+func countByCategory(r root) map[incident.Category]int {
+	cats := make(map[incident.Category]int)
+	r.tally(scope{}, cats)
+	return cats
+}
+
 func TestCountByCategory(t *testing.T) {
 	db := New(1)
 	must(t, db.Add(entry("a", "X", []float64{1}, 0)))
 	must(t, db.Add(entry("b", "X", []float64{2}, 0)))
 	must(t, db.Add(entry("c", "Y", []float64{3}, 0)))
-	counts := db.CountByCategory()
+	counts := countByCategory(db)
 	if counts["X"] != 2 || counts["Y"] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -279,13 +280,56 @@ func TestProbeSkipsEmptyPartitions(t *testing.T) {
 	sameScored(t, "probe-skips-empty", got, want)
 }
 
+// nearestShards returns every shard index ordered by ascending Euclidean
+// distance between the query and the shard's centroid, ties toward the
+// lower index — distance-only partition ranking. Centroids carry no
+// timestamp, so under it the temporal-decay factor of the retrieval
+// similarity cannot take part in partition selection.
+func (p *IVF) nearestShards(query []float64) []int {
+	dists := p.centroidDists(query)
+	order := make([]int, len(dists))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
+	return order
+}
+
+// distanceRanked is the comparison oracle for the store's time-aware
+// probe ranking: the sharded store with TopK's probe-limited search over
+// the p populated partitions nearest by nearestShards instead.
+type distanceRanked struct{ *Sharded }
+
+func (d distanceRanked) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+	s := d.Sharded
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	shards := s.gen.shard
+	if ivf, ok := s.gen.parts.(*IVF); ok && s.old == nil {
+		var populated []*shard
+		for _, i := range ivf.nearestShards(query) {
+			if s.gen.shard[i].length() > 0 {
+				populated = append(populated, s.gen.shard[i])
+			}
+		}
+		if p := s.Probes(); p > 0 && p < len(populated) {
+			shards = populated[:p]
+		}
+	}
+	perShard, err := fanTopK(shards, query, qt, k, alpha, scope{})
+	if err != nil {
+		return nil, err
+	}
+	return mergeTopK(perShard, k, false), nil
+}
+
 // TestTimeAwareProbeRanking is the time-aware golden: on the seeded
 // time-spread corpus (timestamps spanning the decay horizon, recency
 // anti-correlated with proximity), distance-only probe ranking at
-// probes=1 probes the stale-but-near partition and misses the true
-// neighbours, while the default time-aware ranking recovers them. The
-// same floor is enforced on every CI bench run by
-// BenchmarkTopKProbesTimeSpread.
+// probes=1 (the distanceRanked oracle) probes the stale-but-near
+// partition and misses the true neighbours, while the store's time-aware
+// ranking recovers them. The same floor is enforced on every CI bench run
+// by BenchmarkTopKProbesTimeSpread.
 func TestTimeAwareProbeRanking(t *testing.T) {
 	const n, dim, pairs, shards, k = 2000, 16, 3, 10, 5
 	entries, queries, qt := timeSpreadCorpus(8, n, dim, pairs)
@@ -301,9 +345,7 @@ func TestTimeAwareProbeRanking(t *testing.T) {
 	}
 	must(t, sh.SetProbes(1))
 
-	must(t, sh.SetProbeRanking(ProbeRankDistance))
-	distOnly := recallAtK(t, flat, sh, queries, qt, k, 0.3)
-	must(t, sh.SetProbeRanking(ProbeRankTimeAware))
+	distOnly := recallAtK(t, flat, distanceRanked{sh}, queries, qt, k, 0.3)
 	timeAware := recallAtK(t, flat, sh, queries, qt, k, 0.3)
 
 	t.Logf("recall@%d at probes=1: distance-only %.4f, time-aware %.4f", k, distOnly, timeAware)

@@ -312,7 +312,9 @@ func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int,
 		}
 		return sh.topKLocked(query, qt, k, alpha, ns)
 	}
-	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
+	// A k beyond the shard's rows keeps every row a candidate either way;
+	// capping it first keeps k×overfetch from overflowing.
+	cands := sh.scanQuantized(q, query, qt, min(k, len(sh.entries))*overfetch, alpha, ns)
 	if diverse {
 		b := newCatBest()
 		for _, c := range cands {
@@ -322,7 +324,7 @@ func (sh *shard) twoStageLocked(query []float64, qt time.Time, k, overfetch int,
 		}
 		return sh.materializeSlots(b.top(k))
 	}
-	h := make(worstFirst, 0, k+1)
+	h := newWorstFirst(k, len(cands))
 	for _, c := range cands {
 		d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
 		h.offer(Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}, k)

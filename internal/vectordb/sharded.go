@@ -34,16 +34,14 @@ import (
 //
 // SetProbes(p) with p > 0 opts into approximate serving: when the store is
 // routed by a trained IVF quantizer, TopK and TopKDiverse search only the
-// p partitions whose centroids are nearest the query (skipping empty
-// partitions so no probe is wasted), trading recall for a ~shards/p scan
-// reduction. Probe mode silently falls back to exact fan-out whenever its
-// preconditions do not hold: probes <= 0, probes >= the number of
-// (non-empty) shards, a category-hash partitioner (its placement carries
-// no geometry to probe), or a rebalance in flight. Probe selection ranks
-// centroids by plain vector distance — the temporal-decay factor of the
-// similarity is per-entry, not per-centroid — so recall degrades when
-// recency dominates ranking; see the package comment for the full
-// contract.
+// p partitions ranked best for the query (skipping empty partitions so no
+// probe is wasted), trading recall for a ~shards/p scan reduction. Probe
+// mode silently falls back to exact fan-out whenever its preconditions do
+// not hold: probes <= 0, probes >= the number of (non-empty) shards, a
+// category-hash partitioner (its placement carries no geometry to probe),
+// or a rebalance in flight. Partitions rank by centroid distance blended
+// with their newest entry's recency (see probeShards and the package
+// comment for the full contract).
 //
 // EnableQuantized layers a two-stage scan onto probe-limited serving:
 // each probed shard walks an int8 scalar-quantized sidecar of its
@@ -97,9 +95,6 @@ type Sharded struct {
 	// retires. Odd = rebalance in flight.
 	epoch  atomic.Uint64
 	probes atomic.Int64
-	// probeRank selects how probe-limited queries rank partitions:
-	// ProbeRankTimeAware (default) or ProbeRankDistance.
-	probeRank atomic.Int64
 	// tuner is the adaptive serving controller, nil until EnableAdaptive.
 	tuner atomic.Pointer[Tuner]
 	// quantized gates the two-stage int8 probe scan (EnableQuantized);
@@ -123,7 +118,7 @@ type Sharded struct {
 	// nss maps non-default namespace -> *nsState (per-tenant serving state
 	// over the shared shard geometry); defCount counts default-namespace
 	// (untagged) entries, and adaptiveCfg is the EnableAdaptive config that
-	// seeds a controller for each namespace on first touch.
+	// seeds a controller for each namespace on its first write.
 	nss         sync.Map
 	defCount    atomic.Int64
 	adaptiveCfg atomic.Pointer[AutoConfig]
@@ -133,20 +128,7 @@ type Sharded struct {
 	count       atomic.Int64
 }
 
-// Probe-ranking modes for SetProbeRanking.
-const (
-	// ProbeRankTimeAware ranks partitions by centroid distance blended
-	// with the temporal-decay term of the retrieval similarity, evaluated
-	// at each partition's newest-entry timestamp — the default, so a
-	// recent-but-farther partition can out-rank a stale-but-near one.
-	ProbeRankTimeAware = iota
-	// ProbeRankDistance ranks partitions by plain centroid distance,
-	// ignoring recency (the pre-adaptive behaviour; kept for comparison
-	// benchmarks).
-	ProbeRankDistance
-)
-
-var _ Index = (*Sharded)(nil)
+var _ snapshotter = (*Sharded)(nil)
 
 // generation is one routing regime: a partitioner and the shards it routes
 // into. A rebalance replaces the store's generation wholesale instead of
@@ -261,22 +243,6 @@ func (s *Sharded) SetProbes(p int) error {
 // the adaptive controller this is the budget the SLO loop currently
 // holds, so it moves as the controller adjusts.
 func (s *Sharded) Probes() int { return int(s.probes.Load()) }
-
-// SetProbeRanking selects how probe-limited queries rank candidate
-// partitions: ProbeRankTimeAware (the default — centroid distance blended
-// with each partition's newest-entry recency under the query's
-// temporal-decay coefficient) or ProbeRankDistance (plain centroid
-// distance). Exact fan-out is unaffected.
-func (s *Sharded) SetProbeRanking(mode int) error {
-	if mode != ProbeRankTimeAware && mode != ProbeRankDistance {
-		return fmt.Errorf("vectordb: unknown probe ranking mode %d", mode)
-	}
-	s.probeRank.Store(int64(mode))
-	return nil
-}
-
-// ProbeRanking returns the active probe-ranking mode.
-func (s *Sharded) ProbeRanking() int { return int(s.probeRank.Load()) }
 
 // ShardLens returns the per-shard entry counts of the current routing
 // generation (the load-balance view). Mid-rebalance the counts exclude
@@ -452,74 +418,54 @@ func (s *Sharded) liveShards() (draining, current []*shard) {
 	return draining, s.gen.shard
 }
 
-// CountByCategory returns how many stored incidents each category has.
-// The steady-state path is one locked pass per shard; mid-rebalance a
-// migrating entry may sit in two shards at once, so the draining path
-// carries an ID filter through the same pass — no vector materialization
-// or sorting, the tally stays O(n).
-func (s *Sharded) CountByCategory() map[incident.Category]int {
+// Categories returns the set of distinct categories stored.
+func (s *Sharded) Categories() []incident.Category { return categoriesIn(s, scope{}) }
+
+// tally implements root. Without cats it reads the maintained entry
+// counters (store, default namespace, or the namespace's state — never
+// creating one). With cats it is one locked pass per shard; mid-rebalance
+// a migrating entry may sit in two shards at once, so an ID filter keeps
+// the count exact.
+func (s *Sharded) tally(sc scope, cats map[incident.Category]int) int {
+	if cats == nil {
+		switch {
+		case !sc.on:
+			return s.Len()
+		case sc.ns == "":
+			return int(s.defCount.Load())
+		}
+		if v, ok := s.nss.Load(sc.ns); ok {
+			return int(v.(*nsState).count.Load())
+		}
+		return 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[incident.Category]int)
-	draining, current := s.liveShards()
-	if draining == nil {
-		for _, sh := range current {
-			sh.mu.RLock()
-			countCategoriesInto(out, sh.entries)
-			sh.mu.RUnlock()
-		}
-		return out
-	}
-	seen := make(map[string]bool, s.count.Load())
-	for _, sh := range append(append([]*shard(nil), draining...), current...) {
-		sh.mu.RLock()
-		for i := range sh.entries {
-			if id := sh.entries[i].ID; !seen[id] {
-				seen[id] = true
-				out[sh.entries[i].Category]++
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Categories returns the set of distinct categories stored, derived from
-// the same per-shard pass as CountByCategory.
-func (s *Sharded) Categories() []incident.Category {
-	return sortedCategories(s.CountByCategory())
-}
-
-// countByCategoryScoped is CountByCategory restricted to a namespace
-// scope — the namespace views' inventory pass. Same draining-aware ID
-// dedup as the unscoped tally.
-func (s *Sharded) countByCategoryScoped(sc scope) map[incident.Category]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[incident.Category]int)
 	draining, current := s.liveShards()
 	var seen map[string]bool
 	if draining != nil {
 		seen = make(map[string]bool, s.count.Load())
 	}
+	n := 0
 	for _, sh := range append(append([]*shard(nil), draining...), current...) {
 		sh.mu.RLock()
 		for i := range sh.entries {
-			if !sc.match(sh.entries[i].Namespace) {
+			e := &sh.entries[i]
+			if !sc.match(e.Namespace) {
 				continue
 			}
 			if seen != nil {
-				if id := sh.entries[i].ID; seen[id] {
+				if seen[e.ID] {
 					continue
-				} else {
-					seen[id] = true
 				}
+				seen[e.ID] = true
 			}
-			out[sh.entries[i].Category]++
+			cats[e.Category]++
+			n++
 		}
 		sh.mu.RUnlock()
 	}
-	return out
+	return n
 }
 
 // probeShards returns the shards a probe-limited query searches, or nil
@@ -530,13 +476,12 @@ func (s *Sharded) countByCategoryScoped(sc scope) map[incident.Category]int {
 // a centroid with nothing behind it (TrainIVF with more shards than
 // distinct vectors leaves such shards).
 //
-// Under ProbeRankTimeAware (the default) populated partitions rank by the
-// same functional form the retrieval similarity uses — 1/(1+d)·e^(−α·Δt)
-// — with d the query-to-centroid distance and Δt the age of the
-// partition's NEWEST entry relative to the query time, so a partition
-// holding recent incidents can out-rank a stale partition whose centroid
-// is nearer. Under ProbeRankDistance the ranking is plain centroid
-// distance. Both break ties toward the lower shard index.
+// Populated partitions rank by the same functional form the retrieval
+// similarity uses — 1/(1+d)·e^(−α·Δt) — with d the query-to-centroid
+// distance and Δt the age of the partition's NEWEST entry relative to the
+// query time, so a partition holding recent incidents can out-rank a
+// stale partition whose centroid is nearer. With α = 0 the form reduces
+// to plain centroid distance. Ties go to the lower shard index.
 // The probe budget p is the caller's: sequential serving passes the
 // scope's effective budget (root or per-namespace), so co-tenants probe
 // independently over the same ranked partitions.
@@ -549,7 +494,6 @@ func (s *Sharded) probeShards(g *generation, query []float64, qt time.Time, alph
 		return nil
 	}
 	dists := ivf.centroidDists(query)
-	timeAware := s.probeRank.Load() == ProbeRankTimeAware && alpha != 0
 	type cand struct {
 		sh    *shard
 		score float64
@@ -560,8 +504,8 @@ func (s *Sharded) probeShards(g *generation, query []float64, qt time.Time, alph
 		if n == 0 {
 			continue
 		}
-		score := -dists[i] // distance-only: nearer ranks higher
-		if timeAware {
+		score := -dists[i] // α = 0: nearer ranks higher
+		if alpha != 0 {
 			days := math.Abs(qt.Sub(newest).Hours()) / 24
 			score = 1 / (1 + dists[i]) * math.Exp(-alpha*days)
 		}
@@ -618,7 +562,6 @@ func (s *Sharded) topK(query []float64, qt time.Time, k int, alpha float64, forc
 	defer s.mu.RUnlock()
 	draining, current := s.liveShards()
 
-	h := make(worstFirst, 0, k+1)
 	if draining == nil {
 		shards := current
 		probed := false
@@ -644,12 +587,7 @@ func (s *Sharded) topK(query []float64, qt time.Time, k int, alpha float64, forc
 		if err != nil {
 			return nil, err
 		}
-		for _, scs := range perShard {
-			for _, sc := range scs {
-				h.offer(sc, k)
-			}
-		}
-		out := h.drain()
+		out := mergeTopK(perShard, k, false)
 		if !forceExact {
 			if t := s.tunerFor(nsSt); t != nil {
 				t.observeQuery(query, qt, k, alpha, out, probed, false, sc)
@@ -670,17 +608,43 @@ func (s *Sharded) topK(query []float64, qt time.Time, k int, alpha float64, forc
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, 2*k)
-	for _, scs := range append(oldRes, newRes...) {
-		for _, sc := range scs {
-			if seen[sc.Entry.ID] {
-				continue
+	return mergeTopK(append(oldRes, newRes...), k, true), nil
+}
+
+// mergeTopK merges row sets' best-first results (per shard, the draining
+// generation's first) into the global k best. dedup drops an ID an
+// earlier set already offered: mid-rebalance a migrating row is briefly in
+// both generations.
+func mergeTopK(parts [][]Scored, k int, dedup bool) []Scored {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := newWorstFirst(k, n)
+	var seen map[string]bool
+	if dedup {
+		seen = make(map[string]bool, n)
+	}
+	for _, p := range parts {
+		for _, sc := range p {
+			if seen != nil {
+				if seen[sc.Entry.ID] {
+					continue
+				}
+				seen[sc.Entry.ID] = true
 			}
-			seen[sc.Entry.ID] = true
 			h.offer(sc, k)
 		}
 	}
-	return h.drain(), nil
+	return h.drain()
+}
+
+// search implements root: one query under its own namespace scope.
+func (s *Sharded) search(q BatchQuery) ([]Scored, error) {
+	if q.Diverse {
+		return s.topKDiverse(q.Vector, q.Time, q.K, q.Alpha, false, bqScope(&q))
+	}
+	return s.topK(q.Vector, q.Time, q.K, q.Alpha, false, bqScope(&q))
 }
 
 // fanCategoryBest runs the per-shard per-category scan over the given
@@ -702,12 +666,6 @@ func fanCategoryBest(shards []*shard, query []float64, qt time.Time, k int, alph
 // (approximate; see the type comment).
 func (s *Sharded) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
 	return s.topKDiverse(query, qt, k, alpha, false, scope{})
-}
-
-// exactTopKDiverse is TopKDiverse with probe selection forced off (the
-// shadow-query oracle path).
-func (s *Sharded) exactTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return s.topKDiverse(query, qt, k, alpha, true, scope{})
 }
 
 func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float64, forceExact bool, sc scope) ([]Scored, error) {
@@ -824,7 +782,7 @@ func (sh *shard) topK(query []float64, qt time.Time, k int, alpha float64, ns sc
 // topKLocked is topK's body under a caller-held shard lock — shared with
 // the quantized path's full-precision fallback.
 func (sh *shard) topKLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	h := make(worstFirst, 0, k+1)
+	h := newWorstFirst(k, len(sh.entries))
 	g := newDecayGate(qt, alpha)
 	for i := range sh.entries {
 		if !ns.match(sh.entries[i].Namespace) || g.skip(sh.entries[i].Time.Unix()) {

@@ -302,7 +302,7 @@ func TestShardedGetCategoriesCounts(t *testing.T) {
 	if len(cats) != 2 || cats[0] != "A" || cats[1] != "B" {
 		t.Fatalf("Categories = %v", cats)
 	}
-	counts := sh.CountByCategory()
+	counts := countByCategory(sh)
 	if counts["B"] != 2 || counts["A"] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}

@@ -99,8 +99,8 @@ type Tuner struct {
 	// (its own probe budget, overfetch pool, and shadow window over the
 	// shared shard geometry); nil is the root/default-namespace controller
 	// — the pre-namespace behavior. Per-namespace controllers are created
-	// on first namespace touch while adaptive serving is enabled
-	// (Sharded.ensureNSTuner).
+	// with the namespace's state, on its first write, while adaptive
+	// serving is enabled (Sharded.ensureNSTuner).
 	ns *nsState
 
 	// paused is the manual-override latch: Sharded.SetProbes sets it, and
@@ -167,7 +167,7 @@ func (s *Sharded) EnableAdaptive(cfg AutoConfig) (*Tuner, error) {
 	}
 	s.tuner.Store(t)
 	// Every namespace gets its own controller over the same config: those
-	// that already exist now, later ones on first touch (nsStateFor).
+	// that already exist now, later ones on first write (nsStateFor).
 	s.adaptiveCfg.Store(&cfg)
 	s.nss.Range(func(_, v any) bool {
 		s.ensureNSTuner(v.(*nsState))

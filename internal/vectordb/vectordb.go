@@ -75,16 +75,15 @@
 // # Time-aware probe ranking
 //
 // Each partition maintains a recency summary (its newest-entry
-// timestamp). By default (Sharded.SetProbeRanking, ProbeRankTimeAware)
-// probe selection ranks partitions by the similarity's own functional
-// form — 1/(1+d)·e^(−α·Δt) — with d the query-to-centroid distance and Δt
-// the age of the partition's newest entry, so a partition holding recent
-// incidents can out-rank a stale partition whose centroid is nearer;
-// under the paper's temporal-decay retrieval that is exactly when the
-// true neighbours live in the farther partition. ProbeRankDistance
-// restores plain centroid-distance ranking (recall then degrades when
-// recency dominates, since centroids carry no timestamp). On a corpus
-// whose entries share one timestamp the two rankings coincide.
+// timestamp), and probe selection ranks partitions by the similarity's
+// own functional form — 1/(1+d)·e^(−α·Δt) — with d the query-to-centroid
+// distance and Δt the age of the partition's newest entry, so a partition
+// holding recent incidents can out-rank a stale partition whose centroid
+// is nearer; under the paper's temporal-decay retrieval that is exactly
+// when the true neighbours live in the farther partition. This is the
+// only ranking: plain centroid distance, which it reduces to at α = 0 or
+// when every entry shares one timestamp, survives as a test oracle that
+// the time-aware ranking must beat on a time-spread corpus.
 //
 // # Two-stage quantized probe scan (Sharded.EnableQuantized)
 //
@@ -168,10 +167,14 @@
 //
 // Index.Namespace(ns) returns a logical view of the store scoped to one
 // namespace — the unit of multi-tenant isolation (the serving layer maps
-// one incident team to one namespace). Views share everything physical
-// with the root store: the same shard pool, the same columnar backings,
-// the same worker budget, the same locks. Only the logical contract
-// changes:
+// one incident team to one namespace). Every store serves its views
+// through one view type over the store itself, which passes the scope as
+// an argument to two internal per-store methods: a single-query search
+// (a BatchQuery with Scoped set) and a scoped count. Views share
+// everything physical with the root store: the same shard pool, the same
+// columnar backings, the same worker budget, the same locks, the same
+// WAL under Durable and the same collector under Batcher (so co-tenant
+// queries still coalesce). Only the logical contract changes:
 //
 //   - Add through a view tags the entry with the view's namespace; Add
 //     through the root store leaves the tag empty (the DEFAULT namespace).
@@ -179,17 +182,18 @@
 //     root store would but filter per row, returning only entries of the
 //     view's namespace — bit-identical to a dedicated flat store holding
 //     only that namespace's entries (pinned by goldens and a namespace
-//     dimension of the probe-equivalence fuzz oracle). Len, Get,
-//     Categories and CountByCategory are scoped the same way.
+//     dimension of the probe-equivalence fuzz oracle). Len, Get and
+//     Categories are scoped the same way.
 //   - Namespace("") is the default-namespace view: it serves exactly the
 //     untagged entries, so on a store that never tagged anything it is
 //     indistinguishable from the root store. The ROOT store itself stays
 //     unscoped — it serves every entry regardless of tag — which is what
 //     keeps every pre-namespace golden bit-identical.
 //   - An unknown namespace is not an error: its view is simply empty
-//     (zero hits, zero length).
-//   - Save/Load operate on the WHOLE store regardless of which view they
-//     are called through — a view is a lens, not a partition.
+//     (zero hits, zero length). Creating a view and reading through it
+//     have no side effect; only writes create tenant state.
+//   - Snapshots are whole-store: Save and Load are methods of the
+//     concrete stores (DB, Sharded, Durable), not of Index or a view.
 //
 // On the sharded store each non-default namespace additionally carries its
 // own serving state over the shared shard geometry: a probe budget, a
@@ -197,10 +201,14 @@
 // own recall-SLO controller with its own shadow window, overfetch
 // escalation, and skew/retrain triggers (retrains are global, the geometry
 // is shared; the per-namespace controllers just decide independently when
-// to ask for one). SetNamespaceProbes is the per-tenant manual override;
-// NamespaceStats is the per-tenant metrics surface. The default
-// namespace's serving state is the root store's own, so single-tenant
-// deployments tune exactly as before.
+// to ask for one). That state is created by the namespace's first Add, by
+// Load or WAL replay, or by SetNamespaceProbes — never by a read, so
+// request input naming unknown tenants cannot grow it. A scoped read of a
+// namespace without state serves exact fan-out and feeds no controller.
+// SetNamespaceProbes is the per-tenant manual override; NamespaceStats is
+// the per-tenant metrics surface. The default namespace's serving state
+// is the root store's own, so single-tenant deployments tune exactly as
+// before.
 //
 // # Batched execution (TopKBatch and Batcher)
 //
@@ -258,9 +266,7 @@ package vectordb
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -320,9 +326,8 @@ type Index interface {
 	Get(id string) (Entry, bool)
 	// Categories returns the sorted set of distinct categories stored.
 	Categories() []incident.Category
-	// CountByCategory returns how many stored incidents each category has.
-	CountByCategory() map[incident.Category]int
-	// TopK returns the k most similar entries.
+	// TopK returns the k most similar entries (every entry when k
+	// exceeds Len).
 	TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error)
 	// TopKDiverse returns the k most similar entries with each category
 	// appearing at most once (§4.2.2).
@@ -339,11 +344,6 @@ type Index interface {
 	// the root store. Namespace("") is the default-namespace view; see the
 	// package comment's namespace contract.
 	Namespace(ns string) Index
-	// Save serializes the store in the flat snapshot format.
-	Save(w io.Writer) error
-	// Load replaces the store contents with a snapshot written by any
-	// Index implementation's Save.
-	Load(r io.Reader) error
 }
 
 // Options selects and parameterizes an Index implementation.
@@ -423,7 +423,7 @@ func (db *DB) row(i int) []float64 {
 	return db.vecs[i*db.dim : (i+1)*db.dim]
 }
 
-var _ Index = (*DB)(nil)
+var _ snapshotter = (*DB)(nil)
 
 // New returns an empty store for vectors of the given dimensionality.
 func New(dim int) *DB {
@@ -498,40 +498,28 @@ func (db *DB) Get(id string) (Entry, bool) {
 	return e, true
 }
 
-// countCategoriesInto tallies entries per category into counts — the one
-// category pass shared by CountByCategory and Categories across both Index
-// implementations. Callers hold the lock guarding entries.
-func countCategoriesInto(counts map[incident.Category]int, entries []Entry) {
-	for _, e := range entries {
-		counts[e.Category]++
-	}
-}
+// Categories returns the set of distinct categories stored.
+func (db *DB) Categories() []incident.Category { return categoriesIn(db, scope{}) }
 
-// sortedCategories returns the keys of a category-count map in sorted
-// order.
-func sortedCategories(counts map[incident.Category]int) []incident.Category {
-	out := make([]incident.Category, 0, len(counts))
-	for c := range counts {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// CountByCategory returns how many stored incidents each category has —
-// the inventory view an on-call dashboard shows.
-func (db *DB) CountByCategory() map[incident.Category]int {
+// tally implements root: the scope's entry count from the per-namespace
+// tallies, or one locked pass when cats asks for categories too.
+func (db *DB) tally(sc scope, cats map[incident.Category]int) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	counts := make(map[incident.Category]int)
-	countCategoriesInto(counts, db.entries)
-	return counts
-}
-
-// Categories returns the set of distinct categories stored, derived from
-// the same locked pass as CountByCategory.
-func (db *DB) Categories() []incident.Category {
-	return sortedCategories(db.CountByCategory())
+	if cats == nil {
+		if !sc.on {
+			return len(db.entries)
+		}
+		return db.nsCount[sc.ns]
+	}
+	n := 0
+	for i := range db.entries {
+		if sc.match(db.entries[i].Namespace) {
+			cats[db.entries[i].Category]++
+			n++
+		}
+	}
+	return n
 }
 
 // Distance is the Euclidean distance of the paper's similarity formula.
@@ -803,7 +791,7 @@ func mergeDiverse(parts [][]Scored, k int) []Scored {
 			}
 		}
 	}
-	h := make(worstFirst, 0, k+1)
+	h := newWorstFirst(k, len(best))
 	for _, sc := range best {
 		h.offer(sc, k)
 	}
@@ -814,6 +802,11 @@ func mergeDiverse(parts [][]Scored, k int) []Scored {
 // worst-ranked entry kept so far, so streaming selection evicts it in O(log
 // k) when a better candidate arrives.
 type worstFirst []Scored
+
+// newWorstFirst returns an empty heap for the k best of at most rows
+// candidates. Its capacity is min(k, rows): k is caller input and may be
+// far larger than any scan can fill.
+func newWorstFirst(k, rows int) worstFirst { return make(worstFirst, 0, min(k, rows)) }
 
 func (h worstFirst) Len() int           { return len(h) }
 func (h worstFirst) Less(i, j int) bool { return ranksAfter(h[i], h[j]) }
@@ -932,7 +925,7 @@ func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns
 		return nil, err
 	}
 	db.mu.RLock()
-	h := make(worstFirst, 0, k+1)
+	h := newWorstFirst(k, len(db.entries))
 	g := newDecayGate(qt, alpha)
 	for i := range db.entries {
 		if !ns.match(db.entries[i].Namespace) || g.skip(db.entries[i].Time.Unix()) {
@@ -956,79 +949,14 @@ func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns
 	return h.drain(), nil
 }
 
-// countByCategoryScoped is CountByCategory restricted to a namespace scope.
-func (db *DB) countByCategoryScoped(ns scope) map[incident.Category]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	counts := make(map[incident.Category]int)
-	for _, e := range db.entries {
-		if ns.match(e.Namespace) {
-			counts[e.Category]++
-		}
+// search implements root: one query under its own namespace scope.
+func (db *DB) search(q BatchQuery) ([]Scored, error) {
+	if q.Diverse {
+		return db.topKDiverseScoped(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q))
 	}
-	return counts
+	return db.topKScoped(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q))
 }
 
 // Namespace returns a view of the flat store scoped to ns; see the package
 // comment's namespace contract.
-func (db *DB) Namespace(ns string) Index { return dbView{db: db, ns: ns} }
-
-// dbView is the flat store's namespace view: a lens over the shared DB
-// that tags on Add and filters on read. Save/Load pass through to the
-// whole store.
-type dbView struct {
-	db *DB
-	ns string
-}
-
-var _ Index = dbView{}
-
-func (v dbView) Dim() int { return v.db.Dim() }
-
-func (v dbView) Len() int {
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	return v.db.nsCount[v.ns]
-}
-
-func (v dbView) Add(e Entry) error {
-	e.Namespace = v.ns
-	return v.db.Add(e)
-}
-
-func (v dbView) Get(id string) (Entry, bool) {
-	e, ok := v.db.Get(id)
-	if !ok || e.Namespace != v.ns {
-		return Entry{}, false
-	}
-	return e, true
-}
-
-func (v dbView) CountByCategory() map[incident.Category]int {
-	return v.db.countByCategoryScoped(scope{on: true, ns: v.ns})
-}
-
-func (v dbView) Categories() []incident.Category {
-	return sortedCategories(v.CountByCategory())
-}
-
-func (v dbView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.db.topKScoped(query, qt, k, alpha, scope{on: true, ns: v.ns})
-}
-
-func (v dbView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.db.topKDiverseScoped(query, qt, k, alpha, scope{on: true, ns: v.ns})
-}
-
-func (v dbView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.db.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-// Save writes the WHOLE store, not just the view's namespace — a view is a
-// lens, not a partition. Load likewise replaces the whole store.
-func (v dbView) Save(w io.Writer) error { return v.db.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v dbView) Load(r io.Reader) error { return v.db.Load(r) }
-
-func (v dbView) Namespace(ns string) Index { return v.db.Namespace(ns) }
+func (db *DB) Namespace(ns string) Index { return view{db, ns} }

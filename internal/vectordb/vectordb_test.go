@@ -261,3 +261,97 @@ func TestQuickTopKDiverseInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnboundedK pins that an unbounded k asks for every row rather than
+// sizing an accumulator: k = math.MaxInt through TopK, TopKDiverse and
+// TopKBatch on every root — flat, sharded (steady, probe-limited int8,
+// mid-rebalance), a durable store over flat and over sharded, a batcher
+// over sharded — serves exactly what k = Len serves, and on the exact
+// roots that is every row (every category, for the diverse read) in
+// contract order.
+func TestUnboundedK(t *testing.T) {
+	const dim, n, alpha = 4, 60, 0.3
+	entries, queries := clusteredCorpus(9, n, dim, 3)
+	diversify(entries, 7)
+	qt := entries[0].Time
+	fill := func(idx Index) Index {
+		for _, e := range entries {
+			must(t, idx.Add(e))
+		}
+		return idx
+	}
+	ref := fill(New(dim)).(*DB)
+	roots := map[string]Index{"flat": fill(New(dim)), "sharded": fill(NewSharded(dim, 3, nil))}
+	for name, fresh := range map[string]func() Index{
+		"durable-flat":    func() Index { return New(dim) },
+		"durable-sharded": func() Index { return NewSharded(dim, 3, nil) },
+	} {
+		d, err := OpenDurable(t.TempDir(), fresh, durTestOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		roots[name] = fill(d)
+	}
+	b, err := NewBatcher(fill(NewSharded(dim, 3, nil)), 4, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	roots["batcher-sharded"] = b
+
+	probed := fill(NewSharded(dim, 4, nil)).(*Sharded)
+	must(t, probed.TrainIVF(0))
+	must(t, probed.EnableQuantized(0))
+	must(t, probed.SetProbes(1))
+	roots["sharded-probed-int8"] = probed // approximate: held to k = Len only
+
+	draining := fill(NewSharded(dim, 3, nil)).(*Sharded)
+	gp := &gatedPartitioner{n: 2, sentinel: entries[0].ID, gate: make(chan struct{}), entered: make(chan struct{})}
+	rebDone := make(chan error, 1)
+	go func() { rebDone <- draining.Rebalance(gp) }()
+	defer func() {
+		close(gp.gate)
+		if err := <-rebDone; err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-gp.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rebalance never reached the drain")
+	}
+	roots["sharded-draining"] = draining
+
+	for name, idx := range roots {
+		for qi, q := range queries[:4] {
+			at := fmt.Sprintf("%s query %d", name, qi)
+			got, err := idx.TopK(q, qt, math.MaxInt, alpha)
+			must(t, err)
+			want, err := idx.TopK(q, qt, n, alpha)
+			must(t, err)
+			sameScored(t, at+" TopK", got, want)
+			gotDiv, err := idx.TopKDiverse(q, qt, math.MaxInt, alpha)
+			must(t, err)
+			wantDiv, err := idx.TopKDiverse(q, qt, n, alpha)
+			must(t, err)
+			sameScored(t, at+" TopKDiverse", gotDiv, wantDiv)
+			batch, err := idx.TopKBatch([]BatchQuery{
+				{Vector: q, Time: qt, K: math.MaxInt, Alpha: alpha},
+				{Vector: q, Time: qt, K: math.MaxInt, Alpha: alpha, Diverse: true},
+			})
+			must(t, err)
+			sameScored(t, at+" TopKBatch plain", batch[0], want)
+			sameScored(t, at+" TopKBatch diverse", batch[1], wantDiv)
+			if name == "sharded-probed-int8" {
+				continue
+			}
+			all, err := ref.sortTopK(q, qt, n, alpha)
+			must(t, err)
+			sameScored(t, at+" TopK vs every row", got, all)
+			cats, err := ref.sortTopKDiverse(q, qt, n, alpha)
+			must(t, err)
+			sameScored(t, at+" TopKDiverse vs every category", gotDiv, cats)
+		}
+	}
+}
