@@ -45,69 +45,21 @@ func scopedQueries(queries []BatchQuery, ns string) []BatchQuery {
 	return out
 }
 
-// TopKBatch on the flat store: one streaming pass over the columnar
-// backing serving every query — rows load once and each query consumes
-// them from its own bounded accumulator and decay gate — with results
-// bit-identical to issuing the queries sequentially.
+// TopKBatch on the flat store: one shared-row batch scan of its shard
+// serving every query at full precision, with results bit-identical to
+// issuing the queries sequentially.
 func (db *DB) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
+	all := make([]int, len(queries))
 	for i := range queries {
-		if err := db.checkQuery(queries[i].Vector, queries[i].K); err != nil {
+		if err := checkQuery(db.sh.dim, queries[i].Vector, queries[i].K); err != nil {
 			return nil, fmt.Errorf("vectordb: batch query %d: %w", i, err)
 		}
+		all[i] = i
 	}
+	res := db.sh.scanBatch(queries, all, nil, nil)
 	out := make([][]Scored, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	heaps := make([]worstFirst, len(queries))
-	bests := make([]catBest, len(queries))
-	gates := make([]decayGate, len(queries))
-	for i := range queries {
-		gates[i] = newDecayGate(queries[i].Time, queries[i].Alpha)
-		if queries[i].Diverse {
-			bests[i] = newCatBest()
-		} else {
-			heaps[i] = newWorstFirst(queries[i].K, len(db.entries))
-		}
-	}
-	for i := range db.entries {
-		row := db.row(i)
-		e := &db.entries[i]
-		sec := e.Time.Unix()
-		for qi := range queries {
-			bq := &queries[qi]
-			if !bqScope(bq).match(e.Namespace) || gates[qi].skip(sec) {
-				continue
-			}
-			d, sim := similarityAt(bq.Vector, bq.Time, row, e.Time, bq.Alpha)
-			if bq.Diverse {
-				bests[qi].offer(e.Category, e.ID, 0, i, d, sim)
-				gates[qi].raise(bests[qi].floor(bq.K))
-				continue
-			}
-			h := &heaps[qi]
-			if len(*h) == bq.K {
-				if r := &(*h)[0]; r.Similarity > sim || (r.Similarity == sim && r.Entry.ID < e.ID) {
-					continue
-				}
-			}
-			h.offer(Scored{Entry: *e, Distance: d, Similarity: sim}, bq.K)
-			gates[qi].raise(h.floor(bq.K))
-		}
-	}
-	// Materialize winners while still under the store lock.
-	for qi := range queries {
-		if queries[qi].Diverse {
-			out[qi] = db.materializeSlots(bests[qi].top(queries[qi].K))
-			continue
-		}
-		h := &heaps[qi]
-		for i := range *h {
-			(*h)[i].Entry.Vector = append([]float64(nil), db.row(db.byID[(*h)[i].Entry.ID])...)
-		}
-		out[qi] = h.drain()
+	for i := range out {
+		out[i] = res[i]
 	}
 	return out, nil
 }

@@ -643,10 +643,10 @@ func BenchmarkDecayGateCost(b *testing.B) {
 			gated, ungated func()
 		}{
 			{"flat/topk",
-				func() { flat.topKScoped(q, qt, k, alpha, scope{}) },
+				func() { flat.TopK(q, qt, k, alpha) },
 				func() { ungatedDBTopK(flat, q, qt, k, alpha, scope{}) }},
 			{"flat/diverse",
-				func() { flat.topKDiverseScoped(q, qt, k, alpha, scope{}) },
+				func() { flat.TopKDiverse(q, qt, k, alpha) },
 				func() { ungatedDBDiverse(flat, q, qt, k, alpha, scope{}) }},
 			{"sharded8/topk",
 				func() {

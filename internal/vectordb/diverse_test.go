@@ -72,7 +72,7 @@ func TestDiverseScanEquivalence(t *testing.T) {
 			for _, k := range []int{1, 5, numCats, numCats + 7} {
 				for _, sc := range []scope{{}, {on: true, ns: "team-a"}, {on: true, ns: ""}} {
 					name := fmt.Sprintf("n=%d q=%d k=%d scope=%+v", n, qn, k, sc)
-					want, err := flat.topKDiverseScoped(q, qt, k, 0.3, sc)
+					want, err := flat.search(BatchQuery{Vector: q, Time: qt, K: k, Alpha: 0.3, Diverse: true, Namespace: sc.ns, Scoped: sc.on})
 					must(t, err)
 					if !sc.on {
 						ref, err := flat.sortTopKDiverse(q, qt, k, 0.3)

@@ -1,7 +1,9 @@
 package vectordb
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -57,7 +59,9 @@ func sameScored(t *testing.T, name string, got, want []Scored) {
 
 // TestHeapMatchesSortReference holds the streaming-heap TopK/TopKDiverse to
 // the retained full-sort reference across store sizes, k values (including
-// k > categories and k > n), alphas, and tie-heavy vector grids.
+// k > categories and k > n), alphas, and tie-heavy vector grids — on the
+// flat store and on a 1-shard and a 3-shard Sharded loaded with the same
+// corpus, so the shard kernels answer to the sort oracle directly.
 func TestHeapMatchesSortReference(t *testing.T) {
 	qt := time.Date(2022, 1, 6, 0, 0, 0, 0, time.UTC)
 	cases := []struct {
@@ -74,6 +78,15 @@ func TestHeapMatchesSortReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := buildDB(t, tc.seed, tc.n, tc.dim, tc.numCats)
+			var snap bytes.Buffer
+			must(t, db.Save(&snap))
+			sharded1, sharded3 := NewSharded(tc.dim, 1, nil), NewSharded(tc.dim, 3, nil)
+			must(t, sharded1.Load(bytes.NewReader(snap.Bytes())))
+			must(t, sharded3.Load(bytes.NewReader(snap.Bytes())))
+			stores := []struct {
+				name string
+				idx  Index
+			}{{"flat", db}, {"sharded1", sharded1}, {"sharded3", sharded3}}
 			rng := rand.New(rand.NewSource(tc.seed * 97))
 			for _, k := range []int{1, 2, 5, 15, tc.n + 10} {
 				for _, alpha := range []float64{0, 0.001, 0.3, 0.8} {
@@ -81,25 +94,18 @@ func TestHeapMatchesSortReference(t *testing.T) {
 					for j := range q {
 						q[j] = float64(rng.Intn(4))
 					}
-					heapK, err := db.TopK(q, qt, k, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
 					sortK, err := db.sortTopK(q, qt, k, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameScored(t, fmt.Sprintf("TopK k=%d a=%v", k, alpha), heapK, sortK)
-
-					heapD, err := db.TopKDiverse(q, qt, k, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
+					must(t, err)
 					sortD, err := db.sortTopKDiverse(q, qt, k, alpha)
-					if err != nil {
-						t.Fatal(err)
+					must(t, err)
+					for _, st := range stores {
+						heapK, err := st.idx.TopK(q, qt, k, alpha)
+						must(t, err)
+						sameScored(t, fmt.Sprintf("%s TopK k=%d a=%v", st.name, k, alpha), heapK, sortK)
+						heapD, err := st.idx.TopKDiverse(q, qt, k, alpha)
+						must(t, err)
+						sameScored(t, fmt.Sprintf("%s TopKDiverse k=%d a=%v", st.name, k, alpha), heapD, sortD)
 					}
-					sameScored(t, fmt.Sprintf("TopKDiverse k=%d a=%v", k, alpha), heapD, sortD)
 				}
 			}
 		})
@@ -173,7 +179,10 @@ func TestDiverseTieAcrossCategories(t *testing.T) {
 }
 
 // TestConcurrentAddAndQuery hammers the store with mixed writers and
-// readers; run under `go test -race` this proves the locking discipline.
+// readers over every lock user — Add through the root and through a
+// namespace view, TopK, TopKDiverse, a mixed TopKBatch, Get, Len,
+// Categories and Save; run under `go test -race` this proves the locking
+// discipline, and the namespace tallies must account for every entry.
 func TestConcurrentAddAndQuery(t *testing.T) {
 	db := New(4)
 	at := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -190,20 +199,26 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	const writers, readers, perG = 4, 4, 200
+	tenant := db.Namespace("t")
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				err := db.Add(Entry{
-					ID:       fmt.Sprintf("W%d-%04d", w, i),
-					Vector:   []float64{float64(i % 7), float64(w), 0, 1},
-					Category: incident.Category(fmt.Sprintf("c%d", i%5)),
-					Time:     at.AddDate(0, 0, i%30),
-				})
-				if err != nil {
-					t.Error(err)
-					return
+				for _, to := range []struct {
+					idx    Index
+					prefix string
+				}{{db, "W"}, {tenant, "T"}} {
+					err := to.idx.Add(Entry{
+						ID:       fmt.Sprintf("%s%d-%04d", to.prefix, w, i),
+						Vector:   []float64{float64(i % 7), float64(w), 0, 1},
+						Category: incident.Category(fmt.Sprintf("c%d", i%5)),
+						Time:     at.AddDate(0, 0, i%30),
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -222,21 +237,40 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				batch := []BatchQuery{
+					{Vector: q, Time: at, K: 3, Alpha: 0.3},
+					{Vector: q, Time: at.AddDate(0, 0, i%30), K: 5, Alpha: 0.3, Diverse: true},
+					{Vector: q, Time: at, K: 4, Alpha: 0.3, Namespace: "t", Scoped: true},
+				}
+				if _, err := db.TopKBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				db.Get(fmt.Sprintf("W%d-%04d", r%writers, i))
 				db.Len()
 				db.Categories()
+				if i%20 == 0 {
+					if err := db.Save(io.Discard); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 			}
 		}(r)
 	}
 	wg.Wait()
-	if got, want := db.Len(), 8+writers*perG; got != want {
+	if got, want := db.Len(), 8+2*writers*perG; got != want {
 		t.Fatalf("len = %d, want %d", got, want)
+	}
+	if def, ten := db.Namespace("").Len(), tenant.Len(); def+ten != db.Len() || ten != writers*perG {
+		t.Fatalf("namespace lens %d + %d, want %d + %d", def, ten, db.Len()-writers*perG, writers*perG)
 	}
 }
 
 // sortTopK is the retained full-sort reference implementation of TopK; the
 // equivalence tests hold the heap path to it.
 func (db *DB) sortTopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
+	if err := checkQuery(db.Dim(), query, k); err != nil {
 		return nil, err
 	}
 	scored := db.scoreAllSorted(query, qt, alpha)
@@ -250,7 +284,7 @@ func (db *DB) sortTopK(query []float64, qt time.Time, k int, alpha float64) ([]S
 // TopKDiverse: sort everything, then greedily take the first occurrence of
 // each category.
 func (db *DB) sortTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
+	if err := checkQuery(db.Dim(), query, k); err != nil {
 		return nil, err
 	}
 	scored := db.scoreAllSorted(query, qt, alpha)
@@ -273,15 +307,15 @@ func (db *DB) sortTopKDiverse(query []float64, qt time.Time, k int, alpha float6
 // order — the full-sort reference the equivalence tests hold the
 // streaming paths to.
 func (db *DB) scoreAllSorted(query []float64, qt time.Time, alpha float64) []Scored {
-	db.mu.RLock()
-	scored := make([]Scored, 0, len(db.entries))
-	for i := range db.entries {
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		e := db.entries[i]
-		e.Vector = append([]float64(nil), db.row(i)...)
+	db.sh.mu.RLock()
+	scored := make([]Scored, 0, len(db.sh.entries))
+	for i := range db.sh.entries {
+		d, s := similarityAt(query, qt, db.sh.row(i), db.sh.entries[i].Time, alpha)
+		e := db.sh.entries[i]
+		e.Vector = append([]float64(nil), db.sh.row(i)...)
 		scored = append(scored, Scored{Entry: e, Distance: d, Similarity: s})
 	}
-	db.mu.RUnlock()
+	db.sh.mu.RUnlock()
 	sort.Slice(scored, func(i, j int) bool { return ranksAfter(scored[j], scored[i]) })
 	return scored
 }

@@ -17,40 +17,40 @@ import (
 // bit.
 
 func ungatedDBTopK(db *DB, query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.sh.mu.RLock()
+	defer db.sh.mu.RUnlock()
 	h := make(worstFirst, 0, k+1)
-	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) {
+	for i := range db.sh.entries {
+		if !ns.match(db.sh.entries[i].Namespace) {
 			continue
 		}
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
+		d, s := similarityAt(query, qt, db.sh.row(i), db.sh.entries[i].Time, alpha)
 		if len(h) == k {
-			if r := &h[0]; r.Similarity > s || (r.Similarity == s && r.Entry.ID < db.entries[i].ID) {
+			if r := &h[0]; r.Similarity > s || (r.Similarity == s && r.Entry.ID < db.sh.entries[i].ID) {
 				continue
 			}
 		}
-		h.offer(Scored{Entry: db.entries[i], Distance: d, Similarity: s}, k)
+		h.offer(Scored{Entry: db.sh.entries[i], Distance: d, Similarity: s}, k)
 	}
 	for i := range h {
-		h[i].Entry.Vector = append([]float64(nil), db.row(db.byID[h[i].Entry.ID])...)
+		h[i].Entry.Vector = append([]float64(nil), db.sh.row(db.sh.byID[h[i].Entry.ID])...)
 	}
 	return h.drain()
 }
 
 func ungatedDBDiverse(db *DB, query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.sh.mu.RLock()
+	defer db.sh.mu.RUnlock()
 	b := newCatBest()
-	for i := range db.entries {
-		e := &db.entries[i]
+	for i := range db.sh.entries {
+		e := &db.sh.entries[i]
 		if !ns.match(e.Namespace) {
 			continue
 		}
-		d, s := similarityAt(query, qt, db.row(i), e.Time, alpha)
+		d, s := similarityAt(query, qt, db.sh.row(i), e.Time, alpha)
 		b.offer(e.Category, e.ID, 0, i, d, s)
 	}
-	return db.materializeSlots(b.top(k))
+	return db.sh.materializeSlots(b.top(k))
 }
 
 func ungatedDBBatch(db *DB, queries []BatchQuery) [][]Scored {
@@ -383,10 +383,10 @@ func gateStores(t testing.TB, dim int, entries []Entry) (*DB, []*Sharded) {
 // one (query, qt, k, alpha, scope).
 func checkGate(t *testing.T, name string, flat *DB, shs []*Sharded, q []float64, qt time.Time, k int, alpha float64, sc scope) {
 	t.Helper()
-	got, err := flat.topKScoped(q, qt, k, alpha, sc)
+	got, err := flat.search(BatchQuery{Vector: q, Time: qt, K: k, Alpha: alpha, Namespace: sc.ns, Scoped: sc.on})
 	must(t, err)
 	sameBits(t, name+" flat TopK", got, ungatedDBTopK(flat, q, qt, k, alpha, sc))
-	got, err = flat.topKDiverseScoped(q, qt, k, alpha, sc)
+	got, err = flat.search(BatchQuery{Vector: q, Time: qt, K: k, Alpha: alpha, Diverse: true, Namespace: sc.ns, Scoped: sc.on})
 	must(t, err)
 	sameBits(t, name+" flat TopKDiverse", got, ungatedDBDiverse(flat, q, qt, k, alpha, sc))
 	for _, s := range shs {

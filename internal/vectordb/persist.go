@@ -102,18 +102,10 @@ func decodeSnapshotFrom(dec *gob.Decoder, dim int) (snapshot, error) {
 	return snap, nil
 }
 
-// Save serializes the store to w, so a trained incident history survives
-// restarts of the on-call service.
+// Save serializes the store to w, entries in insertion order, so a
+// trained incident history survives restarts of the on-call service.
 func (db *DB) Save(w io.Writer) error {
-	db.mu.RLock()
-	snap := snapshot{Dim: db.dim, Entries: make([]Entry, len(db.entries))}
-	copy(snap.Entries, db.entries)
-	// The columnar store keeps vectors out of the entries; the wire format
-	// carries them inline, so materialize each row into the copies.
-	for i := range snap.Entries {
-		snap.Entries[i].Vector = append([]float64(nil), db.row(i)...)
-	}
-	db.mu.RUnlock()
+	snap := snapshot{Dim: db.sh.dim, Entries: db.sh.snapshot()}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("vectordb: save: %w", err)
 	}
@@ -122,29 +114,24 @@ func (db *DB) Save(w io.Writer) error {
 
 // Load replaces the store contents with a snapshot written by any Index
 // implementation's Save. The snapshot's dimensionality must match the
-// store's; on any validation error the store is left unchanged.
+// store's; on any validation error the store is left unchanged. The new
+// contents are built aside and swapped in under one hold of the lock.
 func (db *DB) Load(r io.Reader) error {
-	snap, err := decodeSnapshot(r, db.dim)
+	snap, err := decodeSnapshot(r, db.sh.dim)
 	if err != nil {
 		return err
 	}
-	byID := make(map[string]int, len(snap.Entries))
-	vecs := make([]float64, 0, len(snap.Entries)*db.dim)
-	for i := range snap.Entries {
-		byID[snap.Entries[i].ID] = i
-		vecs = append(vecs, snap.Entries[i].Vector...)
-		snap.Entries[i].Vector = nil
-	}
+	n := len(snap.Entries)
+	next := &shard{dim: db.sh.dim, entries: make([]Entry, 0, n), vecs: make([]float64, 0, n*db.sh.dim), byID: make(map[string]int, n)}
 	nsCount := make(map[string]int)
-	for i := range snap.Entries {
-		nsCount[snap.Entries[i].Namespace]++
+	for _, e := range snap.Entries {
+		next.addLocked(e) // next is not shared yet
+		nsCount[e.Namespace]++
 	}
-	db.mu.Lock()
-	db.entries = snap.Entries
-	db.vecs = vecs
-	db.byID = byID
+	db.sh.mu.Lock()
+	db.sh.entries, db.sh.vecs, db.sh.byID, db.sh.newest = next.entries, next.vecs, next.byID, next.newest
 	db.nsCount = nsCount
-	db.mu.Unlock()
+	db.sh.mu.Unlock()
 	return nil
 }
 

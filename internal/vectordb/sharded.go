@@ -79,9 +79,8 @@ import (
 // rather than one heap allocation per entry. The distance scan — the hot
 // loop of every query — walks that backing sequentially, so it prefetches
 // instead of pointer-chasing, and a million vectors cost one long-lived
-// allocation instead of a million GC-visible slices. This is why the
-// sharded store holds its own on a single core (where fan-out cannot help)
-// and pulls ahead of the flat store even before parallelism.
+// allocation instead of a million GC-visible slices. The flat DB is one
+// such shard, unpartitioned.
 type Sharded struct {
 	dim int
 	// mu is shared by all normal ops and exclusive only for Load and the
@@ -139,11 +138,12 @@ type generation struct {
 	shard []*shard
 }
 
-// shard is one partition under its own lock. Entry metadata lives in
-// entries with the Vector field nilled out; the vectors themselves pack
-// into vecs, dim floats per row, in the same order — the columnar layout
-// the query scan walks. Vectors are materialized (copied out of the
-// backing) whenever an Entry leaves the shard.
+// shard is one partition under its own lock (the flat DB is a single
+// shard holding the whole store). Entry metadata lives in entries with
+// the Vector field nilled out; the vectors themselves pack into vecs, dim
+// floats per row, in the same order — the columnar layout the query scan
+// walks. Vectors are materialized (copied out of the backing) whenever an
+// Entry leaves the shard.
 type shard struct {
 	mu      sync.RWMutex
 	dim     int
@@ -163,9 +163,10 @@ type shard struct {
 
 // NewSharded returns an empty sharded store for vectors of the given
 // dimensionality. A nil partitioner — or one reporting no shards —
-// selects CategoryHash over shards (minimum 1; a single-shard store is
-// the degenerate case the equivalence tests anchor on); a valid non-nil
-// partitioner's Shards() takes precedence over the shards argument.
+// selects CategoryHash over shards (a shards value below 1 selects 2; a
+// single-shard store is the degenerate case the equivalence tests anchor
+// on); a valid non-nil partitioner's Shards() takes precedence over the
+// shards argument.
 func NewSharded(dim, shards int, p Partitioner) *Sharded {
 	if p == nil || p.Shards() < 1 {
 		if shards < 1 {
@@ -314,9 +315,16 @@ func (s *Sharded) Add(e Entry) error {
 // covers the shard and a rescale should be scheduled). The caller has
 // validated the entry and claimed its ID.
 func (sh *shard) add(e Entry) (clamped bool) {
+	sh.mu.Lock()
+	clamped = sh.addLocked(e)
+	sh.mu.Unlock()
+	return clamped
+}
+
+// addLocked is add under a caller-held exclusive shard lock.
+func (sh *shard) addLocked(e Entry) (clamped bool) {
 	vec := e.Vector
 	e.Vector = nil
-	sh.mu.Lock()
 	sh.byID[e.ID] = len(sh.entries)
 	sh.entries = append(sh.entries, e)
 	sh.vecs = append(sh.vecs, vec...)
@@ -326,7 +334,6 @@ func (sh *shard) add(e Entry) (clamped bool) {
 	if sh.quant != nil {
 		clamped = sh.quant.encode(vec, e.Time)
 	}
-	sh.mu.Unlock()
 	return clamped
 }
 
@@ -448,22 +455,31 @@ func (s *Sharded) tally(sc scope, cats map[incident.Category]int) int {
 	}
 	n := 0
 	for _, sh := range append(append([]*shard(nil), draining...), current...) {
-		sh.mu.RLock()
-		for i := range sh.entries {
-			e := &sh.entries[i]
-			if !sc.match(e.Namespace) {
+		n += sh.tally(sc, cats, seen)
+	}
+	return n
+}
+
+// tally adds the per-category counts of the shard's entries visible under
+// sc into cats and returns how many it counted. A non-nil seen skips IDs
+// already counted and records the rest.
+func (sh *shard) tally(sc scope, cats map[incident.Category]int, seen map[string]bool) int {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := 0
+	for i := range sh.entries {
+		e := &sh.entries[i]
+		if !sc.match(e.Namespace) {
+			continue
+		}
+		if seen != nil {
+			if seen[e.ID] {
 				continue
 			}
-			if seen != nil {
-				if seen[e.ID] {
-					continue
-				}
-				seen[e.ID] = true
-			}
-			cats[e.Category]++
-			n++
+			seen[e.ID] = true
 		}
-		sh.mu.RUnlock()
+		cats[e.Category]++
+		n++
 	}
 	return n
 }
@@ -743,19 +759,10 @@ const diverseInlineMax = 4096
 // store read lock no generation swap can start, so shards only append and
 // row indexes stay stable across the brief per-shard lock releases.
 func (s *Sharded) categoryBestInline(shards []*shard, query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	b := newCatBest()
-	g := newDecayGate(qt, alpha)
+	b, g := newCatBest(), newDecayGate(qt, alpha)
 	for si, sh := range shards {
 		sh.mu.RLock()
-		for i := range sh.entries {
-			e := &sh.entries[i]
-			if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
-				continue
-			}
-			d, sim := similarityAt(query, qt, sh.row(i), e.Time, alpha)
-			b.offer(e.Category, e.ID, si, i, d, sim)
-			g.raise(b.floor(k))
-		}
+		sh.offerCategories(&b, &g, si, query, qt, k, alpha, ns)
 		sh.mu.RUnlock()
 	}
 	win := b.top(k)
@@ -814,18 +821,26 @@ func (sh *shard) categoryBest(query []float64, qt time.Time, k int, alpha float6
 // categoryBestLocked is categoryBest's body under a caller-held shard
 // lock — shared with the quantized path's full-precision fallback.
 func (sh *shard) categoryBestLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	b := newCatBest()
-	g := newDecayGate(qt, alpha)
+	b, g := newCatBest(), newDecayGate(qt, alpha)
+	sh.offerCategories(&b, &g, 0, query, qt, k, alpha, ns)
+	return sh.materializeSlots(b.top(k))
+}
+
+// offerCategories is the category-slot row loop: it scores every row
+// visible under ns that the decay gate g lets through, offers it to b as
+// a row of source src, and lifts g to b's floor for k. One call covers the
+// whole shard; a scan across several shards calls it once per shard with
+// the same b and g. Caller holds sh.mu.
+func (sh *shard) offerCategories(b *catBest, g *decayGate, src int, query []float64, qt time.Time, k int, alpha float64, ns scope) {
 	for i := range sh.entries {
 		e := &sh.entries[i]
 		if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
 			continue
 		}
 		d, s := similarityAt(query, qt, sh.row(i), e.Time, alpha)
-		b.offer(e.Category, e.ID, 0, i, d, s)
+		b.offer(e.Category, e.ID, src, i, d, s)
 		g.raise(b.floor(k))
 	}
-	return sh.materializeSlots(b.top(k))
 }
 
 // materializeSlots copies out the shard rows the slots reference, in

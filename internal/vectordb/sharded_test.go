@@ -196,9 +196,6 @@ func TestNewShardedRejectsShardlessPartitioner(t *testing.T) {
 			t.Fatalf("%T: %v", p, err)
 		}
 	}
-	if got := NewIndex(2, Options{Partitioner: CategoryHash{N: 0}}); got.Dim() != 2 {
-		t.Fatal("NewIndex with shardless partitioner broken")
-	}
 }
 
 // TestCategoryHashRoutesInRange sanity-checks the default partitioner.

@@ -16,16 +16,16 @@
 //
 // The first factor is at most 1, so a row's similarity never exceeds its
 // decay e^(−α·|T(a) − T(b)|), and in floating point too. Every
-// full-precision exact scan (flat and per-shard TopK and TopKDiverse, the
-// sharded inline diverse scan, both TopKBatch executors) therefore skips,
+// full-precision exact scan (the per-shard TopK and TopKDiverse scans, the
+// sharded inline diverse scan, the shared-row batch scan) therefore skips,
 // once its accumulator holds k candidates, every row whose time lies
 // outside the window where the decay alone could still reach the k-th
 // best similarity τ: one timestamp compare instead of a distance and an
 // Exp. The window is |Δt| ≤ (−ln τ)/α days plus a margin that absorbs
-// every rounding on both sides (derivation on decayGate). The sharded
-// batch scan, which computes each row's decay once per group of co-timed
-// queries, gates a group on its members' lowest floor and then skips each
-// member whose floor that decay is below. The rows a scan keeps are
+// every rounding on both sides (derivation on decayGate). The batch scan,
+// which computes each row's decay once per group of co-timed queries,
+// gates a group on its members' lowest floor and then skips each member
+// whose floor that decay is below. The rows a scan keeps are
 // scored by the unchanged arithmetic, so results are BIT-IDENTICAL to
 // scoring every row — pinned by a differential oracle against the ungated
 // loops and FuzzDecayGate. The gate is off for α ≤ 0. Stores reject
@@ -39,17 +39,21 @@
 // implementations sharing one exact retrieval contract (similarity
 // descending, ties by ascending entry ID):
 //
-//   - DB — the flat reference store: one slice under one RWMutex. Simple,
-//     and the semantics oracle every other implementation is tested
-//     against.
+//   - DB — the flat store: one unpartitioned shard, so it runs the very
+//     row store and scan kernels (heap scan, category-slot scan,
+//     shared-row batch scan) every partition of Sharded runs, in insertion
+//     order under one lock.
 //   - Sharded — entries partitioned across N shards (category-hash routing
 //     by default, or an IVF-style coarse quantizer trained from the stored
 //     vectors via Sharded.TrainIVF) with per-shard locks; queries fan out
 //     across shards on the shared internal/parallel pool and merge
 //     deterministically, bit-identical to DB for any shard count.
 //
-// NewIndex selects an implementation from Options; both persist the same
-// flat snapshot format, so stores round-trip between implementations.
+// The semantics oracles both are tested against share no code with those
+// kernels: a full-sort reference that scores and sorts every row, and the
+// ungated scan loops the decay gate is held to. NewIndex selects Sharded
+// when Options.Shards > 1 and DB otherwise; both persist the same flat
+// snapshot format, so stores round-trip between implementations.
 //
 // # Exact vs probe-limited retrieval
 //
@@ -267,7 +271,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/incident"
@@ -348,13 +351,10 @@ type Index interface {
 
 // Options selects and parameterizes an Index implementation.
 type Options struct {
-	// Shards partitions the store into this many shards with parallel
-	// query fan-out; 0 or 1 selects the flat exact store.
+	// Shards partitions the store into this many category-hash shards
+	// with parallel query fan-out (IVF routing arrives later through
+	// Sharded.TrainIVF or Rebalance); 0 or 1 selects the flat exact store.
 	Shards int
-	// Partitioner overrides shard routing (default: category hash).
-	// Ignored when Shards selects the flat store, unless the partitioner
-	// itself carries a shard count.
-	Partitioner Partitioner
 	// RecallTarget enables the recall-SLO auto-tuner on the sharded store:
 	// shadow queries measure observed recall@k and the effective probe
 	// budget is grown/shrunk to hold this target (see
@@ -377,11 +377,11 @@ type Options struct {
 	Quantized bool
 }
 
-// NewIndex builds the Index implementation the options select: a flat DB,
-// or a Sharded store when Shards > 1 (or a partitioner is given).
+// NewIndex builds the Index implementation the options select: a Sharded
+// store when Shards > 1, otherwise a flat DB.
 func NewIndex(dim int, opts Options) Index {
-	if opts.Shards > 1 || opts.Partitioner != nil {
-		s := NewSharded(dim, opts.Shards, opts.Partitioner)
+	if opts.Shards > 1 {
+		s := NewSharded(dim, opts.Shards, nil)
 		if opts.RecallTarget > 0 || opts.RetrainSkew > 0 {
 			// Cannot fail: the only invalid shapes (out-of-range fractions,
 			// a sub-1 skew ratio) are documented as caller-validated, and
@@ -400,45 +400,29 @@ func NewIndex(dim int, opts Options) Index {
 	return New(dim)
 }
 
-// DB is a concurrency-safe exact-search vector store. Vectors live in one
-// contiguous row-major backing array (the same columnar layout the sharded
-// store's per-shard scans use) so the streaming TopK pass walks a dense
-// float64 stream instead of pointer-chasing per-entry slices; the Entry
-// structs in entries carry nil Vector fields, and winners materialize
-// their vectors on the way out.
+// DB is the flat exact-search store: one unpartitioned shard — the same
+// columnar row store and scan kernels every partition of Sharded runs —
+// plus a per-namespace entry tally.
 type DB struct {
-	mu      sync.RWMutex
-	dim     int
-	entries []Entry   // Vector fields nil; see vecs
-	vecs    []float64 // row-major vector backing: entry i at [i*dim, (i+1)*dim)
-	byID    map[string]int
+	sh shard
 	// nsCount tallies entries per namespace tag (key "" is the default
-	// namespace) so namespace views answer Len without a scan.
+	// namespace) so namespace views answer Len without a scan; guarded by
+	// sh.mu.
 	nsCount map[string]int
-}
-
-// row returns entry i's vector from the columnar backing. Caller holds
-// db.mu.
-func (db *DB) row(i int) []float64 {
-	return db.vecs[i*db.dim : (i+1)*db.dim]
 }
 
 var _ snapshotter = (*DB)(nil)
 
 // New returns an empty store for vectors of the given dimensionality.
 func New(dim int) *DB {
-	return &DB{dim: dim, byID: make(map[string]int), nsCount: make(map[string]int)}
+	return &DB{sh: shard{dim: dim, byID: make(map[string]int)}, nsCount: make(map[string]int)}
 }
 
 // Dim returns the vector dimensionality.
-func (db *DB) Dim() int { return db.dim }
+func (db *DB) Dim() int { return db.sh.dim }
 
 // Len returns the number of stored entries.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
+func (db *DB) Len() int { return db.sh.length() }
 
 // validateEntry checks an entry against the store dimensionality and
 // rejects non-finite components; shared by every Index implementation so
@@ -467,35 +451,31 @@ func nonFinite(v []float64) int {
 }
 
 // Add stores an entry, rejecting dimension mismatches, duplicate IDs and
-// non-finite vector components.
+// non-finite vector components. The duplicate check, the append and the
+// namespace tally happen under one hold of the shard lock.
 func (db *DB) Add(e Entry) error {
-	if err := validateEntry(db.dim, e); err != nil {
+	if err := validateEntry(db.sh.dim, e); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.byID[e.ID]; dup {
+	db.sh.mu.Lock()
+	defer db.sh.mu.Unlock()
+	if _, dup := db.sh.byID[e.ID]; dup {
 		return fmt.Errorf("vectordb: duplicate entry ID %s", e.ID)
 	}
-	db.vecs = append(db.vecs, e.Vector...)
-	e.Vector = nil
-	db.byID[e.ID] = len(db.entries)
-	db.entries = append(db.entries, e)
+	db.sh.addLocked(e)
 	db.nsCount[e.Namespace]++
 	return nil
 }
 
 // Get returns the entry with the given ID.
 func (db *DB) Get(id string) (Entry, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	i, ok := db.byID[id]
+	db.sh.mu.RLock()
+	defer db.sh.mu.RUnlock()
+	i, ok := db.sh.byID[id]
 	if !ok {
 		return Entry{}, false
 	}
-	e := db.entries[i]
-	e.Vector = append([]float64(nil), db.row(i)...)
-	return e, true
+	return db.sh.materialize(i), true
 }
 
 // Categories returns the set of distinct categories stored.
@@ -504,22 +484,15 @@ func (db *DB) Categories() []incident.Category { return categoriesIn(db, scope{}
 // tally implements root: the scope's entry count from the per-namespace
 // tallies, or one locked pass when cats asks for categories too.
 func (db *DB) tally(sc scope, cats map[incident.Category]int) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if cats == nil {
-		if !sc.on {
-			return len(db.entries)
-		}
-		return db.nsCount[sc.ns]
+	if cats != nil {
+		return db.sh.tally(sc, cats, nil)
 	}
-	n := 0
-	for i := range db.entries {
-		if sc.match(db.entries[i].Namespace) {
-			cats[db.entries[i].Category]++
-			n++
-		}
+	db.sh.mu.RLock()
+	defer db.sh.mu.RUnlock()
+	if !sc.on {
+		return len(db.sh.entries)
 	}
-	return n
+	return db.nsCount[sc.ns]
 }
 
 // Distance is the Euclidean distance of the paper's similarity formula.
@@ -857,104 +830,33 @@ func checkQuery(dim int, query []float64, k int) error {
 	return nil
 }
 
-func (db *DB) checkQuery(query []float64, k int) error {
-	return checkQuery(db.dim, query, k)
-}
-
 // TopKDiverse returns the k most similar entries under the constraint that
 // each root-cause category appears at most once — the paper "select[s] the
 // top K incidents from different categories as demonstrations ... a diverse
 // and representative set" (§4.2.2). Results are ordered by similarity
-// descending; ties break by older-first ID for determinism.
-//
-// Retrieval sits on the per-incident hot path, so instead of sorting all n
-// entries (O(n log n)) this streams them once: the diversity constraint
-// means only each category's best-ranked entry can ever be selected (a
-// descending greedy scan takes the first — i.e. best — occurrence of every
-// category), so one O(n) pass finds the per-category representatives and a
-// partial insertion pass selects the top k among them, and only those k
-// are copied out.
+// descending; ties break by older-first ID for determinism. Only each
+// category's best-ranked entry can ever be selected, so one streaming pass
+// keeps a slot per category and only the k winners are copied out.
 func (db *DB) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return db.topKDiverseScoped(query, qt, k, alpha, scope{})
-}
-
-// topKDiverseScoped is TopKDiverse restricted to a namespace scope; the
-// zero scope scans every entry (the root store's contract).
-func (db *DB) topKDiverseScoped(query []float64, qt time.Time, k int, alpha float64, ns scope) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	b := newCatBest()
-	g := newDecayGate(qt, alpha)
-	for i := range db.entries {
-		e := &db.entries[i]
-		if !ns.match(e.Namespace) || g.skip(e.Time.Unix()) {
-			continue
-		}
-		d, s := similarityAt(query, qt, db.row(i), e.Time, alpha)
-		b.offer(e.Category, e.ID, 0, i, d, s)
-		g.raise(b.floor(k))
-	}
-	return db.materializeSlots(b.top(k)), nil
-}
-
-// materializeSlots copies out the rows the slots reference, in order;
-// valid only under db.mu.
-func (db *DB) materializeSlots(win []catSlot) []Scored {
-	out := make([]Scored, len(win))
-	for j := range win {
-		out[j] = win[j].scored(db.entries[win[j].row], db.row(win[j].row))
-	}
-	return out
+	return db.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true})
 }
 
 // TopK returns the k most similar entries without the category-diversity
-// constraint (used by ablations), via a single streaming pass over the
-// store with a size-k bounded heap — O(n log k) instead of the full sort's
-// O(n log n).
+// constraint (used by ablations), via a single streaming pass with a
+// size-k bounded heap.
 func (db *DB) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return db.topKScoped(query, qt, k, alpha, scope{})
-}
-
-// topKScoped is TopK restricted to a namespace scope; the zero scope scans
-// every entry (the root store's contract).
-func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns scope) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	h := newWorstFirst(k, len(db.entries))
-	g := newDecayGate(qt, alpha)
-	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) || g.skip(db.entries[i].Time.Unix()) {
-			continue
-		}
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		if len(h) == k {
-			// Same pre-check as the sharded scan: skip the Entry copy for
-			// rows that cannot displace the heap root.
-			if r := &h[0]; r.Similarity > s || (r.Similarity == s && r.Entry.ID < db.entries[i].ID) {
-				continue
-			}
-		}
-		h.offer(Scored{Entry: db.entries[i], Distance: d, Similarity: s}, k)
-		g.raise(h.floor(k))
-	}
-	for i := range h {
-		h[i].Entry.Vector = append([]float64(nil), db.row(db.byID[h[i].Entry.ID])...)
-	}
-	db.mu.RUnlock()
-	return h.drain(), nil
+	return db.search(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha})
 }
 
 // search implements root: one query under its own namespace scope.
 func (db *DB) search(q BatchQuery) ([]Scored, error) {
-	if q.Diverse {
-		return db.topKDiverseScoped(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q))
+	if err := checkQuery(db.sh.dim, q.Vector, q.K); err != nil {
+		return nil, err
 	}
-	return db.topKScoped(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q))
+	if q.Diverse {
+		return db.sh.categoryBest(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q)), nil
+	}
+	return db.sh.topK(q.Vector, q.Time, q.K, q.Alpha, bqScope(&q)), nil
 }
 
 // Namespace returns a view of the flat store scoped to ns; see the package
