@@ -67,6 +67,7 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 	hidden := make([]float64, cfg.Dim)
 	probs := make([]float64, len(c.labels))
 	grad := make([]float64, cfg.Dim)
+	tmp := make([]float64, cfg.Dim)
 	order := rng.Perm(len(texts))
 	steps := cfg.Epochs * len(texts)
 	step := 0
@@ -78,7 +79,7 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 			if len(rows) == 0 {
 				continue
 			}
-			c.embedRows(rows, hidden)
+			c.embedRows(rows, hidden, tmp)
 			c.softmax(hidden, probs)
 			y := c.lindex[labels[di]]
 			for i := range grad {
@@ -101,10 +102,7 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 			for _, row := range rows {
 				rowScale := scale / float64(len(row))
 				for _, idx := range row {
-					v := m.row(idx)
-					for i := range v {
-						v[i] += grad[i] * rowScale
-					}
+					axpy(m.row(idx), grad, rowScale)
 				}
 			}
 		}
@@ -113,22 +111,15 @@ func TrainSupervised(texts, labels []string, cfg Config) (*Classifier, error) {
 	return c, nil
 }
 
-// embedRows averages per-word input compositions into dst.
-func (c *Classifier) embedRows(rows [][]int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	tmp := make([]float64, len(dst))
+// embedRows averages per-word input compositions into dst, composing each
+// word in tmp.
+func (c *Classifier) embedRows(rows [][]int, dst, tmp []float64) {
+	clear(dst)
 	for _, row := range rows {
 		c.model.composeInput(row, tmp)
-		for i := range dst {
-			dst[i] += tmp[i]
-		}
+		add1(dst, tmp)
 	}
-	scale := 1.0 / float64(len(rows))
-	for i := range dst {
-		dst[i] *= scale
-	}
+	scaleBy(dst, 1.0/float64(len(rows)))
 }
 
 func (c *Classifier) softmax(hidden []float64, probs []float64) {

@@ -16,6 +16,17 @@
 // vectors and input matrix are pinned by goldens. Vectors persisted by an
 // older binary therefore stay in the space of a freshly retrained model.
 //
+// On amd64 CPUs with AVX2 the trainer's hot loops (kernels.go: the
+// input-row update, composeInput's sums, the fused output-row updates and
+// an eight-pair dot product) run as assembly, chosen once at package init.
+// The kernels vectorize without reordering: an elementwise loop puts four
+// elements in four lanes, and the dot product puts one pair's own
+// left-to-right sum in each lane, over runs of up to eight pairs with
+// distinct output rows (see applyPairs). They multiply and then add, never
+// with a fused multiply-add, because the goldens were recorded from Go
+// code compiled without contraction. Both paths give the same bits; tests
+// hold each kernel to its generic loop and run the trainer both ways.
+//
 // The package also provides the supervised FastText classifier used as a
 // baseline in the paper's Table 2.
 package fasttext
@@ -260,10 +271,7 @@ func TrainSkipgram(corpus []string, cfg Config) (*Model, error) {
 				applyPairs(hidden, grad, out, pairs, lr)
 				scale := 1.0 / float64(len(inputs))
 				for _, idx := range inputs {
-					v := m.row(idx)
-					for i := range v {
-						v[i] += grad[i] * scale
-					}
+					axpy(m.row(idx), grad, scale)
 				}
 			}
 		}
@@ -287,24 +295,31 @@ type pair struct {
 //	g = (label − sigmoid(dot))·lr
 //	grad[i] += g·ov[i]; ov[i] += g·hidden[i]
 //
-// It walks the pairs in runs of up to four whose output rows are pairwise
+// It walks the pairs in runs of up to eight whose output rows are pairwise
 // distinct; a repeated row ends a run, since that pair must see the
-// earlier pair's update of the row. A run computes its dot products in one
-// pass over hidden with one accumulator per pair, then each g, then one
-// fused pass that applies every pair's grad and ov update to element i in
-// pair order.
+// earlier pair's update of the row. A run of eight computes its dot
+// products with dot8, one pair per SIMD lane, then each g, then two fused
+// passes (update4) that each apply four pairs' grad and ov updates to
+// element i in pair order. A run of four to seven takes its first four
+// pairs the same way, with the dot products as four scalar accumulator
+// chains in one pass over hidden. A shorter run steps one pair at a time.
 //
 // The result is bit-identical to stepping the pairs one at a time. hidden
 // is fixed for the whole centre. No pair of a run writes another pair's
 // row, so each dot product reads the row exactly as the one-at-a-time
-// order would, and is its own left-to-right sum. Every grad[i] and ov[i]
-// receives the same operations, with the same operands, in the same order.
-// Only the interleaving of independent values changes. The expressions
-// keep their one-at-a-time shapes, so any multiply-add contraction the
-// compiler applies on a platform applies alike.
+// order would, and is its own left-to-right sum: a SIMD lane holds one
+// pair's sum, never a partial sum of several elements. Every grad[i] and
+// ov[i] receives the same operations, with the same operands, in the same
+// order. Only the interleaving of independent values changes. No path
+// fuses a multiply and an add: the goldens were recorded from code
+// compiled without contraction, so the AVX2 kernels round every product
+// before adding it, as the generic loops do.
 func applyPairs(hidden, grad, out []float64, pairs []pair, lr float64) {
 	d := len(hidden)
 	grad = grad[:d]
+	var rows [8][]float64
+	var dots [8]float64
+	var g [8]float64
 	for len(pairs) > 0 {
 		n := distinctRun(pairs)
 		if n < 4 {
@@ -314,51 +329,47 @@ func applyPairs(hidden, grad, out []float64, pairs []pair, lr float64) {
 				for i, h := range hidden {
 					dot += h * ov[i]
 				}
-				g := (p.label - sigmoid(dot)) * lr
-				for i, h := range hidden {
-					grad[i] += g * ov[i]
-					ov[i] += g * h
-				}
+				update1(grad, ov, hidden, (p.label-sigmoid(dot))*lr)
 			}
 			pairs = pairs[n:]
 			continue
 		}
-		o0 := out[int(pairs[0].row)*d:][:d]
-		o1 := out[int(pairs[1].row)*d:][:d]
-		o2 := out[int(pairs[2].row)*d:][:d]
-		o3 := out[int(pairs[3].row)*d:][:d]
-		var d0, d1, d2, d3 float64
-		for i, h := range hidden {
-			d0 += h * o0[i]
-			d1 += h * o1[i]
-			d2 += h * o2[i]
-			d3 += h * o3[i]
+		if n == 8 {
+			for j := range rows {
+				rows[j] = out[int(pairs[j].row)*d:][:d]
+			}
+			dot8(&dots, hidden, &rows)
+		} else {
+			n = 4
+			o0 := out[int(pairs[0].row)*d:][:d]
+			o1 := out[int(pairs[1].row)*d:][:d]
+			o2 := out[int(pairs[2].row)*d:][:d]
+			o3 := out[int(pairs[3].row)*d:][:d]
+			var d0, d1, d2, d3 float64
+			for i, h := range hidden {
+				d0 += h * o0[i]
+				d1 += h * o1[i]
+				d2 += h * o2[i]
+				d3 += h * o3[i]
+			}
+			rows[0], rows[1], rows[2], rows[3] = o0, o1, o2, o3
+			dots[0], dots[1], dots[2], dots[3] = d0, d1, d2, d3
 		}
-		g0 := (pairs[0].label - sigmoid(d0)) * lr
-		g1 := (pairs[1].label - sigmoid(d1)) * lr
-		g2 := (pairs[2].label - sigmoid(d2)) * lr
-		g3 := (pairs[3].label - sigmoid(d3)) * lr
-		for i, h := range hidden {
-			gi := grad[i]
-			gi += g0 * o0[i]
-			o0[i] += g0 * h
-			gi += g1 * o1[i]
-			o1[i] += g1 * h
-			gi += g2 * o2[i]
-			o2[i] += g2 * h
-			gi += g3 * o3[i]
-			o3[i] += g3 * h
-			grad[i] = gi
+		for j, p := range pairs[:n] {
+			g[j] = (p.label - sigmoid(dots[j])) * lr
 		}
-		pairs = pairs[4:]
+		for j := 0; j < n; j += 4 {
+			update4(grad, (*[4][]float64)(rows[j:j+4]), hidden, (*[4]float64)(g[j:j+4]))
+		}
+		pairs = pairs[n:]
 	}
 }
 
-// distinctRun returns how many leading pairs, at most four, have pairwise
+// distinctRun returns how many leading pairs, at most eight, have pairwise
 // distinct output rows.
 func distinctRun(pairs []pair) int {
 	n := 1
-	for ; n < 4 && n < len(pairs); n++ {
+	for ; n < 8 && n < len(pairs); n++ {
 		for _, p := range pairs[:n] {
 			if p.row == pairs[n].row {
 				return n
@@ -457,31 +468,19 @@ func (m *Model) hashRow(h uint32) int {
 }
 
 // composeInput writes the mean of the input rows into dst. It sums four
-// rows per pass; Go evaluates dst[i] + a[i] + b[i] + c[i] + e[i] left to
+// rows per pass; dst[i] + a[i] + b[i] + c[i] + e[i] is evaluated left to
 // right, so every element is the same left-to-right sum as adding the rows
 // one at a time.
 func (m *Model) composeInput(indices []int, dst []float64) {
 	clear(dst)
 	k := 0
 	for ; k+4 <= len(indices); k += 4 {
-		a := m.row(indices[k])[:len(dst)]
-		b := m.row(indices[k+1])[:len(dst)]
-		c := m.row(indices[k+2])[:len(dst)]
-		e := m.row(indices[k+3])[:len(dst)]
-		for i := range dst {
-			dst[i] = dst[i] + a[i] + b[i] + c[i] + e[i]
-		}
+		add4(dst, m.row(indices[k]), m.row(indices[k+1]), m.row(indices[k+2]), m.row(indices[k+3]))
 	}
 	for _, idx := range indices[k:] {
-		v := m.row(idx)[:len(dst)]
-		for i := range dst {
-			dst[i] += v[i]
-		}
+		add1(dst, m.row(idx))
 	}
-	scale := 1.0 / float64(len(indices))
-	for i := range dst {
-		dst[i] *= scale
-	}
+	scaleBy(dst, 1.0/float64(len(indices)))
 }
 
 // scratch is the reusable working memory for composing out-of-vocabulary

@@ -182,14 +182,16 @@ func checkMatchesReference(t *testing.T, corpus []string, cfg Config) {
 // the one-pair-at-a-time oracle. Two- and three-word vocabularies repeat an
 // output row within almost every run of four, so runs end early on nearly
 // every step; five words make full runs of four that still break often;
-// the generated-corpus slice has long distinct runs.
+// the generated-corpus slice has long distinct runs, runs of eight
+// included. Dimensions 1, 3, 5 and 68 leave a tail after the kernels'
+// four-wide vector bodies; 4, 8, 12 and 64 do not.
 func TestTrainSkipgramMatchesReference(t *testing.T) {
 	tiny := [][]string{
 		{"disk port disk port port disk", "port disk disk"},
 		{"queue disk port queue queue disk port", "port port queue", "disk"},
 		{"queue disk port host node disk host queue node port port", "node host disk queue"},
 	}
-	for _, dim := range []int{1, 3, 5, 64} {
+	for _, dim := range []int{1, 3, 5, 64, 4, 8, 12, 68} {
 		for _, neg := range []int{1, 5, 12} {
 			for _, window := range []int{1, 8} {
 				for _, corpus := range tiny {
@@ -211,6 +213,11 @@ func TestTrainSkipgramMatchesReference(t *testing.T) {
 		{Dim: 5, Epochs: 2, Window: 8, NegSamples: 12, MinCount: 1, Buckets: 256, Seed: 4},
 	} {
 		checkMatchesReference(t, slice, cfg)
+	}
+	for _, dim := range []int{4, 8, 12, 68} {
+		checkMatchesReference(t, slice, Config{
+			Dim: dim, Epochs: 1, Window: 8, NegSamples: 12, MinCount: 1, Buckets: 256, Seed: int64(dim),
+		})
 	}
 	checkMatchesReference(t, topicCorpus(), smallCfg())
 }
