@@ -8,25 +8,27 @@
 //	experiments -workers 1          # sequential reference run
 //	experiments -shards 8           # sharded vector index (same results)
 //	experiments -shards 8 -partitioner ivf   # IVF coarse-quantizer routing
-//	experiments -shards 8 -partitioner ivf -recall-target 0.95  # approximate, adaptive probe budget
-//	experiments -shards 8 -partitioner ivf -retrain-skew 1.5    # skew-triggered retrain
-//	experiments -shards 8 -partitioner ivf -recall-target 0.95 -quantized  # int8 two-stage scan
+//	experiments -shards 8 -recall-target 0.95  # approximate, adaptive probe budget
+//	experiments -shards 8 -retrain-skew 1.5    # skew-triggered retrain
+//	experiments -shards 8 -recall-target 0.95 -quantized  # int8 two-stage scan
 //	experiments -parallel-budget 16 # pin the worker budget explicitly
-//	experiments -auto-limit         # latency-driven worker budget
+//
+// The serving flags fill one core.Config, which is validated once before
+// anything runs and is the base of every pipeline the harness builds.
 //
 // The retrieval goldens are index-independent: -shards swaps the vector
 // store behind every pipeline for the sharded implementation (category-hash
 // or IVF routing per -partitioner), and because sharded search is exact and
 // merges under the flat store's ordering, every table and figure reproduces
 // bit-identically. -recall-target opts into probe-limited approximate
-// retrieval (only the nearest IVF partitions are searched) with the probe
-// budget owned by the recall-SLO auto-tuner (and -retrain-skew enables
-// automatic IVF retraining), which trades exactness for scan reduction —
-// tables may then deviate from the goldens by design, and more so early
-// in a run while the controller is still converging from its cold
-// probes=1 start: the SLO describes steady-state serving, not a short
-// evaluation sweep. The recall floors for that mode are pinned in
-// internal/vectordb.
+// retrieval (only the nearest IVF partitions are searched, so routing
+// defaults to IVF) with the probe budget owned by the recall-SLO auto-tuner
+// (and -retrain-skew enables automatic IVF retraining), which trades
+// exactness for scan reduction — tables may then deviate from the goldens
+// by design, and more so early in a run while the controller is still
+// converging from its cold probes=1 start: the SLO describes steady-state
+// serving, not a short evaluation sweep. The recall floors for that mode
+// are pinned in internal/vectordb.
 //
 // The experiments fan out on a bounded worker pool (one worker per CPU by
 // default); because the simulated models are order-independent, every
@@ -47,6 +49,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parallel"
 	"repro/internal/vectordb"
@@ -58,52 +61,30 @@ func main() {
 	teamsN := flag.Int("team-incidents", 20, "incidents per team for table4")
 	workers := flag.Int("workers", 0, "worker-pool size; 0 = one per CPU, 1 = sequential")
 	shards := flag.Int("shards", 0, "vector-index shard count; 0 = one per CPU, 1 = flat exact store")
-	partitioner := flag.String("partitioner", "", "shard routing: category (default) or ivf")
+	partitioner := flag.String("partitioner", "", "shard routing: category or ivf (default ivf with -recall-target/-retrain-skew, else category)")
 	recallTarget := flag.Float64("recall-target", 0, "probe-limited approximate serving with a recall-SLO auto-tuned probe budget, target in (0,1]; 0 = exact fan-out")
-	shadowRate := flag.Float64("shadow-rate", 0, "fraction of queries the auto-tuner shadows exactly; 0 = default 0.05")
 	retrainSkew := flag.Float64("retrain-skew", 0, "auto-retrain the IVF quantizer once max/mean shard skew or centroid drift reaches this ratio (>= 1); 0 = off")
 	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection + exact re-rank (requires -recall-target)")
 	batch := flag.Int("batch", 0, "micro-batch concurrent retrievals, up to this many per scan-once-per-shard execution (bit-identical results); 0/1 = unbatched")
 	tenants := flag.Bool("tenants", false, "run table4's teams as co-tenants on one shared fleet with per-tenant cost attribution")
-	parallelBudget := flag.Int("parallel-budget", -1, "pin the process-wide extra-worker budget; -1 = default/auto")
-	autoLimit := flag.Bool("auto-limit", false, "auto-size the worker budget from observed model-call latency")
+	parallelBudget := flag.Int("parallel-budget", -1, "pin the process-wide extra-worker budget; -1 = default")
 	flag.Parse()
 
-	if *recallTarget < 0 || *recallTarget > 1 {
-		fatal(fmt.Errorf("-recall-target must be in (0, 1] (0 = off), got %v", *recallTarget))
+	serving := core.Config{
+		Shards: *shards, Partitioner: *partitioner, RecallTarget: *recallTarget,
+		RetrainSkew: *retrainSkew, Quantized: *quantized, BatchMax: *batch,
 	}
-	if *retrainSkew != 0 && *retrainSkew < 1 {
-		fatal(fmt.Errorf("-retrain-skew must be 0 (off) or >= 1, got %v", *retrainSkew))
-	}
-	if (*recallTarget > 0 || *retrainSkew > 0) && (*shards <= 1 || *partitioner != "ivf") {
-		// Fail here rather than deep inside whichever experiment first
-		// builds a pipeline: probe selection needs trained IVF centroids.
-		fatal(fmt.Errorf("adaptive serving (-recall-target/-retrain-skew) requires -shards > 1 and -partitioner ivf (got -shards %d -partitioner %q)",
-			*shards, *partitioner))
-	}
-	if *shadowRate < 0 || *shadowRate > 1 {
-		fatal(fmt.Errorf("-shadow-rate must be in (0, 1] (0 = default), got %v", *shadowRate))
-	}
-	if *shadowRate > 0 && *recallTarget == 0 {
-		fatal(fmt.Errorf("-shadow-rate without -recall-target has nothing to tune"))
-	}
-	if *quantized && *recallTarget == 0 {
-		fatal(fmt.Errorf("-quantized requires -recall-target > 0 (probe-limited serving); exact fan-out never uses the int8 sidecar"))
-	}
-	if *batch < 0 {
-		fatal(fmt.Errorf("-batch must be >= 0 (0/1 = unbatched), got %d", *batch))
+	// Fail here rather than deep inside whichever experiment first builds
+	// a pipeline.
+	if err := serving.Validate(); err != nil {
+		fatal(err)
 	}
 	if *batch > 1 && *workers == 1 {
 		fatal(fmt.Errorf("-batch %d with -workers 1 has nothing to coalesce: sequential cells issue one retrieval at a time", *batch))
 	}
 	if *parallelBudget >= 0 {
 		parallel.SetLimit(*parallelBudget)
-		if *autoLimit {
-			fmt.Fprintln(os.Stderr, "experiments: -parallel-budget pins the budget; ignoring -auto-limit")
-			*autoLimit = false
-		}
 	}
-	eval.SetChatAutoTune(*autoLimit)
 
 	want := map[string]bool{}
 	for _, r := range strings.Split(*run, ",") {
@@ -122,32 +103,22 @@ func main() {
 			fatal(err)
 		}
 		env.Workers = *workers
-		env.Shards = *shards
-		env.Partitioner = *partitioner
-		env.RecallTarget = *recallTarget
-		env.ShadowRate = *shadowRate
-		env.RetrainSkew = *retrainSkew
-		env.Quantized = *quantized
-		env.BatchMax = *batch
+		env.Config = serving
 		if *batch > 1 {
 			fmt.Printf("retrieval batching: up to %d concurrent queries per scan (bit-identical to unbatched)\n", *batch)
 		}
-		if *shards > 1 {
-			p := *partitioner
-			if p == "" {
-				p = "category"
+		if eff := serving.WithDefaults(); *shards > 1 || eff.RecallTarget > 0 || eff.RetrainSkew > 0 {
+			desc := "exact fan-out"
+			if eff.RecallTarget > 0 {
+				desc = fmt.Sprintf("adaptive probes, recall SLO %.2f (approximate once IVF trains)", eff.RecallTarget)
 			}
-			serving := "exact fan-out"
-			if *recallTarget > 0 {
-				serving = fmt.Sprintf("adaptive probes, recall SLO %.2f (approximate once IVF trains)", *recallTarget)
+			if eff.RetrainSkew > 0 {
+				desc += fmt.Sprintf(", auto-retrain at skew %.2f", eff.RetrainSkew)
 			}
-			if *retrainSkew > 0 {
-				serving += fmt.Sprintf(", auto-retrain at skew %.2f", *retrainSkew)
+			if eff.Quantized {
+				desc += fmt.Sprintf(", int8 two-stage scan (overfetch %d)", vectordb.DefaultOverfetch)
 			}
-			if *quantized {
-				serving += fmt.Sprintf(", int8 two-stage scan (overfetch %d)", vectordb.DefaultOverfetch)
-			}
-			fmt.Printf("vector index: %d shards (%s routing, %s)\n", *shards, p, serving)
+			fmt.Printf("vector index: %d shards (%s routing, %s)\n", eff.Shards, eff.Partitioner, desc)
 		}
 		if *workers != 1 {
 			n := *workers

@@ -13,14 +13,13 @@ import (
 
 // TestDaemonBatchedRetrieval boots the daemon with the retrieval
 // micro-batcher enabled and verifies the serving contract end to end: a
-// lone /api/retrieve on an idle daemon answers immediately (the
-// hour-long -batch-wait window must never be armed for it), and /metrics
+// lone /api/retrieve on an idle daemon answers immediately (the collector's
+// idle path arms no flush timer; TestBatcherIdleFastPath in
+// internal/vectordb pins that with an hour-long window), and /metrics
 // exposes the batch-formation gauges.
 func TestDaemonBatchedRetrieval(t *testing.T) {
 	c := sharedCorpus(t)
-	sys, err := rcacopilot.NewSystem(c.Fleet, rcacopilot.Config{
-		Seed: 1, BatchMax: 8, BatchWait: time.Hour,
-	})
+	sys, err := rcacopilot.NewSystem(c.Fleet, rcacopilot.Config{Seed: 1, BatchMax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestDaemonBatchedRetrieval(t *testing.T) {
 // still answers the next retrieval.
 func TestDaemonBatchedRetrieveUnboundedK(t *testing.T) {
 	c := sharedCorpus(t)
-	sys, err := rcacopilot.NewSystem(c.Fleet, rcacopilot.Config{Seed: 1, BatchMax: 4, BatchWait: time.Millisecond})
+	sys, err := rcacopilot.NewSystem(c.Fleet, rcacopilot.Config{Seed: 1, BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

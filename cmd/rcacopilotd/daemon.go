@@ -212,7 +212,7 @@ retrieval and handler construction over one hardened HTTP surface.</p>
 <li><code>POST /api/feedback</code> — OCE verdict: confirm / correct / reject</li>
 <li><code>GET /api/retrieve?q=...&amp;k=5</code> — nearest historical incidents</li>
 <li><code>GET /metrics</code> — serving, admission, retrieval, feedback and cost metrics</li>
-<li><code>GET /api/handlers</code> &amp; friends — handler construction (see cmd/handlerd)</li>
+<li><code>GET /api/handlers</code> &amp; friends — handler construction: query ops, versioned handlers</li>
 </ul>`)
 }
 

@@ -348,8 +348,8 @@ func TestDaemonSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestDaemonMountsHandlerAPI checks the daemon serves handler CRUD on the
-// same surface as handlerd.
+// TestDaemonMountsHandlerAPI checks the daemon serves handler CRUD
+// (httpd.HandlerAPI) beside the incident endpoints.
 func TestDaemonMountsHandlerAPI(t *testing.T) {
 	d, _ := newTestDaemon(t, httpd.LimitConfig{}, 4)
 	var out struct {

@@ -9,7 +9,7 @@
 //	POST /api/feedback            OCE verdict (confirm/correct/reject)
 //	GET  /api/retrieve?q=...      nearest historical incidents
 //	GET  /metrics                 serving, admission, retrieval, feedback, cost
-//	/api/handlers, /api/ops, ...  handler construction (same API as handlerd)
+//	/api/handlers, /api/ops, ...  handler construction (the Figure 10 GUI's API)
 //
 // Incidents are handled by System.HandleStream on the shared worker
 // budget; per-team token buckets plus a budget-derived in-flight bound
@@ -21,13 +21,14 @@
 // — bounded by -grace.
 //
 // Startup builds the simulated deployment: generate the synthetic corpus,
-// train the FastText embedding, ingest -history incidents. -shards and
-// -recall-target opt retrieval into the sharded store and adaptive probe
-// serving, whose live recall/probe state then shows in /metrics. -wal-dir
-// puts a write-ahead log + snapshot under the store: a killed daemon —
-// SIGKILL included — reboots with its learned corpus, converged tuner
-// state and retry schedule, skipping re-ingest, with recovery visible as
-// the /metrics durability gauges.
+// train the FastText embedding, ingest -history incidents. The serving
+// flags fill one rcacopilot.Config, which the library validates. -shards
+// and -recall-target opt retrieval into the sharded store and adaptive
+// probe serving (IVF routing is derived), whose live recall/probe state
+// then shows in /metrics. -wal-dir puts a write-ahead log + snapshot
+// under the store: a killed daemon — SIGKILL included — reboots with its
+// learned corpus, converged tuner state and retry schedule, skipping
+// re-ingest, with recovery visible as the /metrics durability gauges.
 //
 //	rcacopilotd -addr :8080 -seed 1 -history 300
 package main
@@ -61,7 +62,6 @@ func main() {
 	retrainSkew := flag.Float64("retrain-skew", 0, "auto-retrain the IVF quantizer at this imbalance ratio (0 disables)")
 	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection (K×4 per probed shard, widened by the recall tuner) + exact re-rank (needs -recall-target)")
 	batchMax := flag.Int("batch-max", 0, "micro-batch concurrent retrievals, up to this many per scan-once-per-shard execution (bit-identical results; 0/1 = unbatched)")
-	batchWait := flag.Duration("batch-wait", 0, "max time an under-filled retrieval batch waits for companions (0 = 500µs default; needs -batch-max >= 2)")
 	learnQueue := flag.Int("learn-queue", 64, "async feedback-learn queue depth (0 = learn inline)")
 	retry := flag.Bool("retry", true, "run the learn-failure retry queue")
 	tenants := flag.Bool("tenants", false, "multi-tenant serving: per-team retrieval namespaces, handler fallback, per-tenant cost attribution")
@@ -77,71 +77,45 @@ func main() {
 	flag.Parse()
 
 	if err := run(config{
-		addr: *addr, model: *model, seed: *seed, days: *days, history: *history,
-		shards: *shards, recall: *recall, retrainSkew: *retrainSkew,
-		quantized: *quantized, batchMax: *batchMax, batchWait: *batchWait,
-		learnQueue: *learnQueue, retry: *retry, tenants: *tenants,
+		addr: *addr, days: *days, history: *history, retry: *retry,
 		rate: *rate, burst: *burst, queue: *queue, admitQueue: *admitQueue, grace: *grace,
-		walDir: *walDir, walSyncEvery: *walSyncEvery,
-		walSyncInterval: *walSyncInterval, walCompactBytes: *walCompactBytes,
+		sys: rcacopilot.Config{
+			Model: *model, Seed: *seed, Shards: *shards,
+			RecallTarget: *recall, RetrainSkew: *retrainSkew, Quantized: *quantized,
+			BatchMax: *batchMax, AsyncLearnQueue: *learnQueue, MultiTenant: *tenants,
+			WALDir: *walDir, WALSyncEvery: *walSyncEvery,
+			WALSyncInterval: *walSyncInterval, WALCompactBytes: *walCompactBytes,
+		},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "rcacopilotd:", err)
 		os.Exit(1)
 	}
 }
 
+// config is the daemon's deployment: the corpus and front-door settings
+// it owns, plus the library config of the system it serves.
 type config struct {
-	addr                string
-	model               string
-	seed                int64
-	days, history       int
-	shards              int
-	recall, retrainSkew float64
-	quantized           bool
-	batchMax            int
-	batchWait           time.Duration
-	learnQueue          int
-	retry               bool
-	tenants             bool
-	rate, burst         float64
-	queue               int
-	admitQueue          int
-	grace               time.Duration
-	walDir              string
-	walSyncEvery        int
-	walSyncInterval     time.Duration
-	walCompactBytes     int64
+	addr          string
+	days, history int
+	retry         bool
+	rate, burst   float64
+	queue         int
+	admitQueue    int
+	grace         time.Duration
+	sys           rcacopilot.Config
 }
 
 func run(c config) error {
-	log.Printf("rcacopilotd: generating corpus (seed %d, %d days)", c.seed, c.days)
+	log.Printf("rcacopilotd: generating corpus (seed %d, %d days)", c.sys.Seed, c.days)
 	spec := rcacopilot.CorpusSpec{
-		Seed: c.seed, Start: time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC),
+		Seed: c.sys.Seed, Start: time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC),
 		Days: c.days, RecurrenceWithin20: 0.938, Team: "Transport",
 	}
 	corpus, err := rcacopilot.GenerateCorpusSpec(spec)
 	if err != nil {
 		return err
 	}
-	cfg := rcacopilot.Config{
-		Model: c.model, Seed: c.seed,
-		Shards:          c.shards,
-		RecallTarget:    c.recall,
-		RetrainSkew:     c.retrainSkew,
-		Quantized:       c.quantized,
-		BatchMax:        c.batchMax,
-		BatchWait:       c.batchWait,
-		AsyncLearnQueue: c.learnQueue,
-		MultiTenant:     c.tenants,
-		WALDir:          c.walDir,
-		WALSyncEvery:    c.walSyncEvery,
-		WALSyncInterval: c.walSyncInterval,
-		WALCompactBytes: c.walCompactBytes,
-	}
-	if c.recall > 0 || c.retrainSkew >= 1 {
-		cfg.Partitioner = rcacopilot.PartitionIVF
-	}
-	sys, err := rcacopilot.NewSystem(corpus.Fleet, cfg)
+	sys, err := rcacopilot.NewSystem(corpus.Fleet, c.sys)
 	if err != nil {
 		return err
 	}
@@ -162,7 +136,7 @@ func run(c config) error {
 	for i, in := range corpus.Incidents[:n] {
 		texts[i] = in.DiagnosticText()
 	}
-	model, err := fasttext.TrainSkipgram(texts, rcacopilot.EmbeddingConfig{Seed: c.seed})
+	model, err := fasttext.TrainSkipgram(texts, rcacopilot.EmbeddingConfig{Seed: c.sys.Seed})
 	if err != nil {
 		return err
 	}
@@ -172,9 +146,9 @@ func run(c config) error {
 		return err
 	}
 	loadedBy := "ingested"
-	if replayed := sys.Copilot().Index().Len(); c.walDir != "" && replayed > 0 {
+	if replayed := sys.Copilot().Index().Len(); c.sys.WALDir != "" && replayed > 0 {
 		loadedBy = "replayed"
-		log.Printf("rcacopilotd: recovered %d incidents from %s, skipping re-ingest", replayed, c.walDir)
+		log.Printf("rcacopilotd: recovered %d incidents from %s, skipping re-ingest", replayed, c.sys.WALDir)
 	} else if err := sys.AddHistory(corpus.Incidents[:n]); err != nil {
 		return err
 	}

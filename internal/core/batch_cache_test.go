@@ -109,12 +109,6 @@ func TestBatchingConfig(t *testing.T) {
 	if _, err := New(e.corpus.Fleet, chat, Config{BatchMax: -1}); err == nil {
 		t.Fatal("negative BatchMax accepted")
 	}
-	if _, err := New(e.corpus.Fleet, chat, Config{BatchWait: time.Millisecond}); err == nil {
-		t.Fatal("BatchWait without BatchMax accepted")
-	}
-	if _, err := New(e.corpus.Fleet, chat, Config{BatchMax: 4, BatchWait: -time.Millisecond}); err == nil {
-		t.Fatal("negative BatchWait accepted")
-	}
 
 	plain, err := New(e.corpus.Fleet, chat, Config{})
 	if err != nil {
@@ -128,9 +122,6 @@ func TestBatchingConfig(t *testing.T) {
 	c, err := New(e.corpus.Fleet, chat, Config{BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Config().BatchWait != 500*time.Microsecond {
-		t.Fatalf("BatchWait default = %v, want 500µs", c.Config().BatchWait)
 	}
 	c.SetEmbedder(e.embedder)
 	b := c.Batcher()

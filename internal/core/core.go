@@ -164,28 +164,27 @@ type Config struct {
 	// changes scaling, not retrieval semantics.
 	Shards int
 	// Partitioner selects shard routing when Shards > 1:
-	// PartitionCategory (default) or PartitionIVF.
+	// PartitionCategory or PartitionIVF. Unset, it is derived: PartitionIVF
+	// when adaptive serving (RecallTarget or RetrainSkew) is on, since probe
+	// selection and retraining need the IVF quantizer, PartitionCategory
+	// otherwise.
 	Partitioner string
 	// RecallTarget opts retrieval into probe-limited approximate serving
 	// owned by the recall-SLO auto-tuner: queries search only the IVF
-	// partitions nearest the query, a ShadowRate fraction of live
-	// retrievals is shadowed with an exact fan-out off the hot path, and
-	// the probe budget grows/shrinks to hold this observed recall@k target
-	// (e.g. 0.95). Requires Shards > 1 with Partitioner PartitionIVF; must
-	// be in (0, 1]. 0 disables, keeping exact fan-out bit-identical to the
-	// flat store. vectordb.Sharded.SetProbes is the runtime manual
-	// override. See vectordb.Sharded.EnableAdaptive.
+	// partitions nearest the query, one live retrieval in twenty (the
+	// vectordb.AutoConfig default shadow rate) is shadowed with an exact
+	// fan-out off the hot path, and the probe budget grows/shrinks to hold
+	// this observed recall@k target (e.g. 0.95). Requires Shards > 1 and
+	// the IVF partitioner; must be in (0, 1]. 0 disables, keeping exact
+	// fan-out bit-identical to the flat store. vectordb.Sharded.SetProbes
+	// is the runtime manual override. See vectordb.Sharded.EnableAdaptive.
 	RecallTarget float64
-	// ShadowRate is the fraction of live retrievals the auto-tuner
-	// shadows, in (0, 1]; 0 defaults to 0.05. Only meaningful with
-	// RecallTarget.
-	ShadowRate float64
 	// RetrainSkew enables skew-triggered IVF retraining when >= 1: once
 	// per-shard imbalance (max/mean of the shard entry counts) or the
 	// centroid drift of fresh inserts reaches this ratio, the quantizer
 	// retrains automatically (rate-limited, online — ingest and queries
-	// keep flowing). Requires Shards > 1 with Partitioner PartitionIVF.
-	// 0 disables.
+	// keep flowing). Requires Shards > 1 and the IVF partitioner. 0
+	// disables.
 	RetrainSkew float64
 	// Quantized enables the two-stage quantized probe scan: probe-limited
 	// queries walk a per-shard int8 sidecar to collect K×overfetch
@@ -198,16 +197,12 @@ type Config struct {
 	// BatchMax enables micro-batched retrieval: concurrent retrieval
 	// queries (Retrieve, Predict's neighbour lookup) coalesce through a
 	// vectordb.Batcher into TopKBatch executions of at most this size,
-	// amortizing the shard scan across the batch. 0 or 1 disables
-	// batching; negative values are rejected. Idle traffic keeps the
-	// single-query fast path, so enabling batching does not add latency
-	// when there is no concurrency to harvest.
+	// amortizing the shard scan across the batch. An under-filled batch
+	// waits at most batchWait for companions. 0 or 1 disables batching;
+	// negative values are rejected. Idle traffic keeps the single-query
+	// fast path, so enabling batching does not add latency when there is
+	// no concurrency to harvest.
 	BatchMax int
-	// BatchWait bounds how long a partially filled batch holds its window
-	// open for companion queries before flushing. 0 with BatchMax > 1
-	// selects the 500µs default; setting it without BatchMax > 1 is
-	// rejected (there is no collector to configure).
-	BatchWait time.Duration
 	// WALDir enables the durable vector store: SetEmbedder opens a
 	// write-ahead-logged store rooted at this directory instead of a fresh
 	// in-memory one, replaying any previous snapshot + log so a crashed
@@ -232,7 +227,9 @@ type Config struct {
 	WALCompactBytes int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every unset field at the default
+// New applies (the effective configuration Copilot.Config reports).
+func (c Config) WithDefaults() Config {
 	if c.Team == "" {
 		c.Team = "Transport"
 	}
@@ -250,14 +247,72 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Partitioner == "" {
 		c.Partitioner = PartitionCategory
+		if c.adaptive() {
+			c.Partitioner = PartitionIVF
+		}
 	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.NumCPU()
 	}
-	if c.BatchMax > 1 && c.BatchWait == 0 {
-		c.BatchWait = 500 * time.Microsecond
-	}
 	return c
+}
+
+// adaptive reports whether the config turns on the recall tuner or
+// skew-triggered retraining.
+func (c Config) adaptive() bool { return c.RecallTarget > 0 || c.RetrainSkew > 0 }
+
+// batchWait bounds how long the micro-batching collector holds an
+// under-filled batch open for companion queries before flushing it.
+const batchWait = 500 * time.Microsecond
+
+// Validate reports whether the config, with defaults applied, describes a
+// servable Copilot. New calls it; front ends call it up front to fail
+// before building anything.
+func (c Config) Validate() error {
+	c = c.WithDefaults()
+	if c.Alpha < 0 || math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0) {
+		return fmt.Errorf("core: Alpha %v must be a finite, non-negative decay per day (0 selects the default 0.3)", c.Alpha)
+	}
+	if c.Partitioner != PartitionCategory && c.Partitioner != PartitionIVF {
+		return fmt.Errorf("core: unknown partitioner %q (want %q or %q)",
+			c.Partitioner, PartitionCategory, PartitionIVF)
+	}
+	if c.RecallTarget < 0 || c.RecallTarget > 1 {
+		return fmt.Errorf("core: RecallTarget %v outside (0, 1]", c.RecallTarget)
+	}
+	if c.RetrainSkew != 0 && c.RetrainSkew < 1 {
+		return fmt.Errorf("core: RetrainSkew %v must be 0 (off) or >= 1 (a max/mean ratio)", c.RetrainSkew)
+	}
+	if c.adaptive() {
+		if c.Shards <= 1 {
+			return fmt.Errorf("core: adaptive serving (RecallTarget/RetrainSkew) requires a sharded vector store (Shards > 1)")
+		}
+		if c.Partitioner != PartitionIVF {
+			return fmt.Errorf("core: adaptive serving (RecallTarget/RetrainSkew) requires Partitioner=%q (got %q)",
+				PartitionIVF, c.Partitioner)
+		}
+	}
+	if c.Quantized && c.RecallTarget == 0 {
+		// The int8 sidecar only serves probe-limited queries: without the
+		// SLO-owned probe budget the flag would silently never engage,
+		// masking a misconfiguration.
+		return fmt.Errorf("core: Quantized requires RecallTarget > 0 (probe-limited serving); exact fan-out never uses the sidecar")
+	}
+	if c.BatchMax < 0 {
+		return fmt.Errorf("core: negative BatchMax %d (use 0 to disable batching)", c.BatchMax)
+	}
+	if c.WALSyncEvery < 0 {
+		return fmt.Errorf("core: negative WALSyncEvery %d", c.WALSyncEvery)
+	}
+	if c.WALSyncInterval < 0 {
+		return fmt.Errorf("core: negative WALSyncInterval %v", c.WALSyncInterval)
+	}
+	if c.WALDir == "" && (c.WALSyncEvery != 0 || c.WALSyncInterval != 0 || c.WALCompactBytes != 0) {
+		// A durability knob without a WAL directory would silently never
+		// engage, masking a misconfiguration.
+		return fmt.Errorf("core: WAL tuning (WALSyncEvery/WALSyncInterval/WALCompactBytes) requires WALDir")
+	}
+	return nil
 }
 
 // Copilot is the assembled RCACopilot system.
@@ -294,61 +349,10 @@ func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) 
 	if fleet == nil || chat == nil {
 		return nil, fmt.Errorf("core: fleet and chat model are required")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Alpha < 0 || math.IsNaN(cfg.Alpha) || math.IsInf(cfg.Alpha, 0) {
-		return nil, fmt.Errorf("core: Alpha %v must be a finite, non-negative decay per day (0 selects the default 0.3)", cfg.Alpha)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Partitioner != PartitionCategory && cfg.Partitioner != PartitionIVF {
-		return nil, fmt.Errorf("core: unknown partitioner %q (want %q or %q)",
-			cfg.Partitioner, PartitionCategory, PartitionIVF)
-	}
-	if cfg.RecallTarget < 0 || cfg.RecallTarget > 1 {
-		return nil, fmt.Errorf("core: RecallTarget %v outside (0, 1]", cfg.RecallTarget)
-	}
-	if cfg.ShadowRate < 0 || cfg.ShadowRate > 1 {
-		return nil, fmt.Errorf("core: ShadowRate %v outside (0, 1]", cfg.ShadowRate)
-	}
-	if cfg.ShadowRate > 0 && cfg.RecallTarget == 0 {
-		return nil, fmt.Errorf("core: ShadowRate=%v without RecallTarget (nothing to tune)", cfg.ShadowRate)
-	}
-	if cfg.RetrainSkew != 0 && cfg.RetrainSkew < 1 {
-		return nil, fmt.Errorf("core: RetrainSkew %v must be 0 (off) or >= 1 (a max/mean ratio)", cfg.RetrainSkew)
-	}
-	if adaptive := cfg.RecallTarget > 0 || cfg.RetrainSkew > 0; adaptive {
-		if cfg.Shards <= 1 {
-			return nil, fmt.Errorf("core: adaptive serving (RecallTarget/RetrainSkew) requires a sharded vector store (Shards > 1)")
-		}
-		if cfg.Partitioner != PartitionIVF {
-			return nil, fmt.Errorf("core: adaptive serving (RecallTarget/RetrainSkew) requires Partitioner=%q (got %q)",
-				PartitionIVF, cfg.Partitioner)
-		}
-	}
-	if cfg.Quantized && cfg.RecallTarget == 0 {
-		// The int8 sidecar only serves probe-limited queries: without the
-		// SLO-owned probe budget the flag would silently never engage,
-		// masking a misconfiguration.
-		return nil, fmt.Errorf("core: Quantized requires RecallTarget > 0 (probe-limited serving); exact fan-out never uses the sidecar")
-	}
-	if cfg.BatchMax < 0 {
-		return nil, fmt.Errorf("core: negative BatchMax %d (use 0 to disable batching)", cfg.BatchMax)
-	}
-	if cfg.BatchWait < 0 {
-		return nil, fmt.Errorf("core: negative BatchWait %v", cfg.BatchWait)
-	}
-	if cfg.BatchWait > 0 && cfg.BatchMax <= 1 {
-		return nil, fmt.Errorf("core: BatchWait=%v without BatchMax > 1 (no batch collector to configure)", cfg.BatchWait)
-	}
-	if cfg.WALSyncEvery < 0 {
-		return nil, fmt.Errorf("core: negative WALSyncEvery %d", cfg.WALSyncEvery)
-	}
-	if cfg.WALSyncInterval < 0 {
-		return nil, fmt.Errorf("core: negative WALSyncInterval %v", cfg.WALSyncInterval)
-	}
-	if cfg.WALDir == "" && (cfg.WALSyncEvery != 0 || cfg.WALSyncInterval != 0 || cfg.WALCompactBytes != 0) {
-		// A durability knob without a WAL directory would silently never
-		// engage, masking a misconfiguration.
-		return nil, fmt.Errorf("core: WAL tuning (WALSyncEvery/WALSyncInterval/WALCompactBytes) requires WALDir")
-	}
+	cfg = cfg.WithDefaults()
 	c := &Copilot{
 		cfg:        cfg,
 		fleet:      fleet,
@@ -410,7 +414,6 @@ func (c *Copilot) SetEmbedder(e Embedder) (dropped int, err error) {
 	opts := vectordb.Options{
 		Shards:       c.cfg.Shards,
 		RecallTarget: c.cfg.RecallTarget,
-		ShadowRate:   c.cfg.ShadowRate,
 		RetrainSkew:  c.cfg.RetrainSkew,
 		Quantized:    c.cfg.Quantized,
 	}
@@ -445,9 +448,8 @@ func (c *Copilot) SetEmbedder(e Embedder) (dropped int, err error) {
 	c.embedCache.clear()
 	c.db, c.durable = db, durable
 	if c.cfg.BatchMax > 1 {
-		// Cannot fail: New validated BatchMax >= 2 and withDefaults set a
-		// positive BatchWait.
-		b, _ := vectordb.NewBatcher(c.db, c.cfg.BatchMax, c.cfg.BatchWait)
+		// Cannot fail: BatchMax >= 2 and batchWait is positive.
+		b, _ := vectordb.NewBatcher(c.db, c.cfg.BatchMax, batchWait)
 		c.batcher, c.db = b, b
 	}
 	return dropped, nil

@@ -122,28 +122,25 @@ func TestProbeConfigValidation(t *testing.T) {
 }
 
 // TestAdaptiveConfigValidation covers the adaptive serving knobs' config
-// surface: out-of-range targets/rates/skews, adaptive without the IVF
-// sharded store, and shadow rate without a target are all rejected; a
-// valid adaptive config reaches the index as an installed controller.
+// surface: out-of-range targets and skews and adaptive serving without a
+// sharded store are rejected; a valid adaptive config reaches the index
+// as an installed controller.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	e := getEnv(t)
 	chat := newCopilot(t, Config{}).Chat()
 	bad := []Config{
 		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 1.5},
 		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: -0.5},
-		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, ShadowRate: 2},
-		{Shards: 4, Partitioner: PartitionIVF, ShadowRate: 0.5},
 		{Shards: 4, Partitioner: PartitionIVF, RetrainSkew: 0.5},
 		{Shards: 1, RecallTarget: 0.9},
-		{Shards: 4, RecallTarget: 0.9},
-		{Shards: 4, RetrainSkew: 1.5},
+		{Shards: 1, RetrainSkew: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := New(e.corpus.Fleet, chat, cfg); err == nil {
 			t.Fatalf("case %d: config %+v must be rejected", i, cfg)
 		}
 	}
-	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.95, ShadowRate: 0.5, RetrainSkew: 2})
+	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.95, RetrainSkew: 2})
 	s, ok := c.Index().(*vectordb.Sharded)
 	if !ok {
 		t.Fatalf("index is %T", c.Index())
@@ -161,7 +158,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // sampling and skew checks run behind retrieval.
 func TestAdaptiveCopilotPredicts(t *testing.T) {
 	e := getEnv(t)
-	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, ShadowRate: 1, RetrainSkew: 3})
+	c := newCopilot(t, Config{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 0.9, RetrainSkew: 3})
 	incs := e.corpus.Incidents[:40]
 	clones := make([]*incident.Incident, len(incs))
 	for i, in := range incs {
@@ -253,7 +250,7 @@ func TestQuantizedConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Shards: 4, Partitioner: PartitionIVF, Quantized: true},
 		{Shards: 1, Quantized: true},
-		{Shards: 4, RecallTarget: 0.9, Quantized: true},
+		{Shards: 1, RecallTarget: 0.9, Quantized: true},
 	}
 	for i, cfg := range bad {
 		if _, err := New(e.corpus.Fleet, chat, cfg); err == nil {

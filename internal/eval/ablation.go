@@ -56,7 +56,7 @@ func RunDesignAblation(e *Env) ([]AblationRow, error) {
 // runWithScale re-runs the pipeline with a different embedding scale.
 func runWithScale(e *Env, scale float64) (F1Scores, error) {
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed})
-	cop, err := core.New(e.Corpus.Fleet, chat, e.retrieval())
+	cop, err := core.New(e.Corpus.Fleet, chat, e.Config)
 	if err != nil {
 		return F1Scores{}, err
 	}
@@ -75,7 +75,7 @@ func runWithScale(e *Env, scale float64) (F1Scores, error) {
 // constraint exists to prevent.
 func runNoDiversity(e *Env) (F1Scores, error) {
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed})
-	cop, err := core.New(e.Corpus.Fleet, chat, e.retrieval())
+	cop, err := core.New(e.Corpus.Fleet, chat, e.Config)
 	if err != nil {
 		return F1Scores{}, err
 	}

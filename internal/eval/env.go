@@ -29,58 +29,20 @@ type Env struct {
 	// scores and predictions — only wall-clock time changes.
 	Workers int
 
-	// Shards selects the sharded vector index for every pipeline the
-	// harness builds (0 = one shard per CPU, the core default; an explicit
-	// 1 = the flat exact store). Sharded retrieval is bit-identical to
-	// flat, so the Table-2/3/Fig-12 goldens reproduce on either index; only
-	// retrieval scaling changes.
-	Shards int
-	// Partitioner selects shard routing when Shards > 1 (see
-	// core.PartitionCategory / core.PartitionIVF; empty = category hash).
-	Partitioner string
-	// RecallTarget enables probe-limited approximate serving under the
-	// recall-SLO auto-tuner on every pipeline the harness builds (requires
-	// Shards > 1 and the IVF partitioner). 0 keeps exact fan-out — the
-	// mode every golden assumes; adaptive runs are for the recall/latency
-	// trade-off experiments.
-	RecallTarget float64
-	// ShadowRate is the auto-tuner's shadow-query sampling fraction
-	// (0 = the 0.05 default). Only meaningful with RecallTarget.
-	ShadowRate float64
-	// RetrainSkew enables skew-triggered IVF retraining (>= 1) on every
-	// pipeline the harness builds. 0 disables.
-	RetrainSkew float64
-	// Quantized enables the two-stage int8 probe scan (candidate collection
-	// on the quantized sidecar, exact re-rank at full precision) on every
-	// pipeline the harness builds. Requires RecallTarget on the IVF
-	// sharded index.
-	Quantized bool
-	// BatchMax inserts the micro-batching collector in front of every
-	// pipeline's vector store (>= 2): the per-incident retrievals of a
-	// Table-2/3 method cell, issued concurrently by the Workers pool,
-	// coalesce into scan-once-per-shard batched executions. Results are
-	// bit-identical to unbatched serving, so every golden reproduces with
-	// batching on; only retrieval throughput changes. 0 or 1 disables.
-	BatchMax int
-	// BatchWait bounds how long an under-filled batch waits for
-	// companions (0 = the 500µs core default). Only meaningful with
-	// BatchMax >= 2.
-	BatchWait time.Duration
+	// Config is the base core.Config of every pipeline the harness
+	// builds; each pipeline copies it and sets its own K, Alpha and
+	// Context. Its serving knobs (Shards, Partitioner, RecallTarget,
+	// RetrainSkew, Quantized, BatchMax) swap the retrieval store behind
+	// the experiments. Exact serving — the zero value, sharded or not,
+	// batched or not — is bit-identical to the flat store, so every golden
+	// reproduces on it; adaptive runs (RecallTarget) are for the
+	// recall/latency trade-off experiments.
+	Config core.Config
 
 	ftOnce      sync.Once
 	ft          *fasttext.Model
 	ftErr       error
 	ftTrainTime time.Duration
-}
-
-// retrieval returns the core.Config retrieval-serving knobs every
-// pipeline the harness builds shares.
-func (e *Env) retrieval() core.Config {
-	return core.Config{
-		Shards: e.Shards, Partitioner: e.Partitioner,
-		RecallTarget: e.RecallTarget, ShadowRate: e.ShadowRate, RetrainSkew: e.RetrainSkew,
-		Quantized: e.Quantized, BatchMax: e.BatchMax, BatchWait: e.BatchWait,
-	}
 }
 
 // NewEnv generates the paper-faithful corpus for the seed and splits it

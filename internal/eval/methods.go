@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/boost"
@@ -37,16 +36,6 @@ const (
 	maxChatCacheEntries = 50_000 // ≈ a few dozen full-corpus pipeline runs
 )
 
-// chatAutoTune, when set, enables worker-budget auto-tuning on the shared
-// chat caches (see llm.Cached.EnableAutoTune). Against the simulated
-// substrates this never changes the budget; it exists so the experiment
-// driver can flip the same switch a real deployment would.
-var chatAutoTune atomic.Bool
-
-// SetChatAutoTune enables (or disables) latency-driven worker-budget
-// auto-tuning on the harness's shared chat clients.
-func SetChatAutoTune(on bool) { chatAutoTune.Store(on) }
-
 // sharedChat returns the process-wide cached chat client for (model, seed).
 func sharedChat(model string, seed int64) (*llm.Cached, error) {
 	key := fmt.Sprintf("%s|%d", model, seed)
@@ -54,13 +43,6 @@ func sharedChat(model string, seed int64) (*llm.Cached, error) {
 	if c, ok := chatCaches[key]; ok {
 		if c.Len() < maxChatCacheEntries {
 			chatCacheMu.Unlock()
-			// Apply the current toggle either way: a long-lived pooled
-			// client must also STOP tuning once the switch flips off.
-			if chatAutoTune.Load() {
-				c.EnableAutoTune(0)
-			} else {
-				c.DisableAutoTune()
-			}
 			return c, nil
 		}
 		delete(chatCaches, key) // oversized: rebuild empty below
@@ -72,9 +54,6 @@ func sharedChat(model string, seed int64) (*llm.Cached, error) {
 		return nil, err
 	}
 	fresh := llm.NewCached(base)
-	if chatAutoTune.Load() {
-		fresh.EnableAutoTune(0)
-	}
 
 	chatCacheMu.Lock()
 	defer chatCacheMu.Unlock()
@@ -305,7 +284,7 @@ func RunPipeline(e *Env, opts PipelineOptions) (*PipelineRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.retrieval()
+	cfg := e.Config
 	cfg.K, cfg.Alpha, cfg.Context = opts.K, opts.Alpha, opts.Context
 	cop, err := core.New(e.Corpus.Fleet, chat, cfg)
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 // temporarily overridden.
 func runShardedVariant(t *testing.T, e *Env, shards int, partitioner string) *PipelineRun {
 	t.Helper()
-	prevS, prevP := e.Shards, e.Partitioner
-	e.Shards, e.Partitioner = shards, partitioner
-	defer func() { e.Shards, e.Partitioner = prevS, prevP }()
+	prevS, prevP := e.Config.Shards, e.Config.Partitioner
+	e.Config.Shards, e.Config.Partitioner = shards, partitioner
+	defer func() { e.Config.Shards, e.Config.Partitioner = prevS, prevP }()
 	run, err := RunPipeline(e, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +77,9 @@ func TestShardedPipelineRejectsUnknownPartitioner(t *testing.T) {
 		t.Skip("needs a generated env")
 	}
 	e := smallEnv(t, 1, 0)
-	prevS, prevP := e.Shards, e.Partitioner
-	e.Shards, e.Partitioner = 4, "kd-tree"
-	defer func() { e.Shards, e.Partitioner = prevS, prevP }()
+	prevS, prevP := e.Config.Shards, e.Config.Partitioner
+	e.Config.Shards, e.Config.Partitioner = 4, "kd-tree"
+	defer func() { e.Config.Shards, e.Config.Partitioner = prevS, prevP }()
 	if _, err := RunPipeline(e, PipelineOptions{}); err == nil {
 		t.Fatal("unknown partitioner must fail pipeline construction")
 	}

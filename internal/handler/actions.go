@@ -63,8 +63,8 @@ func registerOp(name string, fn opFunc) {
 // OpRegistered reports whether a query op name is known.
 func OpRegistered(name string) bool { _, ok := ops[name]; return ok }
 
-// OpNames returns the registered query op names, sorted (shown by the
-// handlerd construction UI).
+// OpNames returns the registered query op names, sorted (listed by the
+// handler-construction API's /api/ops).
 func OpNames() []string {
 	out := make([]string, 0, len(ops))
 	for name := range ops {

@@ -193,7 +193,7 @@ func (h *Handler) Clone() *Handler {
 func (n *Node) Params() map[string]string { return n.Action.Params }
 
 // Builder provides a fluent way to assemble handlers in code and from the
-// handlerd API.
+// handler-construction API.
 type Builder struct {
 	h   *Handler
 	err error

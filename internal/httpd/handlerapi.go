@@ -11,9 +11,8 @@ import (
 )
 
 // HandlerAPI serves the handler-construction endpoints over a registry —
-// the substitute for the paper's Figure 10 GUI. It is mounted standalone
-// by cmd/handlerd and alongside the incident-serving endpoints by
-// cmd/rcacopilotd.
+// the substitute for the paper's Figure 10 GUI. cmd/rcacopilotd mounts it
+// alongside the incident-serving endpoints.
 type HandlerAPI struct {
 	reg *handler.Registry
 	mux *http.ServeMux

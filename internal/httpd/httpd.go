@@ -1,7 +1,6 @@
-// Package httpd is the hardened HTTP serving layer shared by the
-// RCACopilot daemons (cmd/rcacopilotd, the unified incident-serving
-// daemon, and cmd/handlerd, the handler-construction service). It owns
-// the parts a fragile front door gets wrong:
+// Package httpd is the hardened HTTP serving layer of the RCACopilot
+// daemon (cmd/rcacopilotd, which serves incidents and handler
+// construction). It owns the parts a fragile front door gets wrong:
 //
 //   - NewServer builds an http.Server with read-header, read, write and
 //     idle timeouts, so a slowloris client cannot pin a connection open

@@ -34,7 +34,7 @@ type LimitConfig struct {
 	// all teams. 0 derives the bound from the shared internal/parallel
 	// worker budget (Configured()+1 pipeline workers, ×2 so a queue's
 	// worth of work is ready when a worker frees up) — admission tracks
-	// the budget even as AutoTune resizes it. Negative disables the
+	// the budget even as SetLimit resizes it. Negative disables the
 	// bound.
 	MaxInflight int
 	// QueueDepth enables severity-weighted waiting at saturation: up to
@@ -127,7 +127,7 @@ func NewTeamLimiter(cfg LimitConfig) *TeamLimiter {
 }
 
 // maxInflight resolves the in-flight bound at admission time, so a
-// SetLimit/AutoTune resize is reflected immediately.
+// SetLimit resize is reflected immediately.
 func (l *TeamLimiter) maxInflight() int {
 	if l.cfg.MaxInflight != 0 {
 		return l.cfg.MaxInflight

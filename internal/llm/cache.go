@@ -5,9 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"time"
-
-	"repro/internal/parallel"
 )
 
 // Cached wraps a Client with a deterministic prompt cache: identical
@@ -16,14 +13,6 @@ import (
 // historical incidents whenever ablations rebuild the store, so caching cuts
 // repeated-experiment cost the same way response caching does against the
 // real API. Cached is safe for concurrent use if the underlying client is.
-//
-// Because every real model call already funnels through it, Cached is also
-// where per-call wall latency is measured (an exponentially weighted moving
-// average over inner Complete/Embed calls — cache hits cost no I/O and are
-// excluded). EnableAutoTune feeds that average into parallel.AutoTune so a
-// deployment against a network-bound endpoint automatically raises the
-// worker budget above the CPU-bound default; the simulated substrates
-// answer in microseconds and leave the budget untouched.
 type Cached struct {
 	inner Client
 
@@ -31,13 +20,6 @@ type Cached struct {
 	byKey  map[string]Response
 	hits   int
 	misses int
-
-	latMu    sync.Mutex
-	ewmaWall time.Duration
-	observed int
-	// autoTuneEvery > 0 re-tunes the shared worker budget after every
-	// that-many observed inner calls.
-	autoTuneEvery int
 }
 
 var _ Client = (*Cached)(nil)
@@ -57,27 +39,15 @@ func (c *Cached) ContextWindow() int { return c.inner.ContextWindow() }
 func (c *Cached) CountTokens(text string) int { return c.inner.CountTokens(text) }
 
 // Embed implements Client (embeddings are deterministic and cheap; they
-// pass through uncached, but still contribute latency observations).
-func (c *Cached) Embed(text string) ([]float64, error) {
-	start := time.Now()
-	v, err := c.inner.Embed(text)
-	if err == nil {
-		c.observe(time.Since(start))
-	}
-	return v, err
-}
+// pass through uncached).
+func (c *Cached) Embed(text string) ([]float64, error) { return c.inner.Embed(text) }
 
 // Complete implements Client with request-keyed memoization. Only
 // deterministic requests (temperature 0) are cached; sampled requests pass
 // through so stability experiments still observe model variance.
 func (c *Cached) Complete(req Request) (Response, error) {
 	if req.Temperature != 0 {
-		start := time.Now()
-		resp, err := c.inner.Complete(req)
-		if err == nil {
-			c.observe(time.Since(start))
-		}
-		return resp, err
+		return c.inner.Complete(req)
 	}
 	key := requestKey(req)
 	c.mu.Lock()
@@ -89,66 +59,14 @@ func (c *Cached) Complete(req Request) (Response, error) {
 	c.misses++
 	c.mu.Unlock()
 
-	start := time.Now()
 	resp, err := c.inner.Complete(req)
 	if err != nil {
 		return Response{}, err
 	}
-	c.observe(time.Since(start))
 	c.mu.Lock()
 	c.byKey[key] = resp
 	c.mu.Unlock()
 	return resp, nil
-}
-
-// observe folds one inner-call wall latency into the moving average and
-// periodically re-tunes the shared worker budget when auto-tuning is on.
-func (c *Cached) observe(d time.Duration) {
-	c.latMu.Lock()
-	if c.observed == 0 {
-		c.ewmaWall = d
-	} else {
-		// EWMA with α = 1/8: stable against outliers, adapts within a few
-		// dozen calls when the backend's character changes.
-		c.ewmaWall += (d - c.ewmaWall) / 8
-	}
-	c.observed++
-	tune := c.autoTuneEvery > 0 && c.observed%c.autoTuneEvery == 0
-	mean := c.ewmaWall
-	c.latMu.Unlock()
-	if tune {
-		parallel.AutoTune(mean)
-	}
-}
-
-// ObservedLatency returns the moving-average wall latency of inner model
-// calls and how many were observed (cache hits excluded).
-func (c *Cached) ObservedLatency() (mean time.Duration, calls int) {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	return c.ewmaWall, c.observed
-}
-
-// EnableAutoTune re-tunes the shared internal/parallel worker budget from
-// the observed call latency after every `every` inner calls (default 32
-// when <= 0) — the auto-sizing hook for I/O-bound backends. Idempotent;
-// parallel.BudgetEnv pins the budget and turns the re-tune into a no-op.
-// DisableAutoTune reverses it.
-func (c *Cached) EnableAutoTune(every int) {
-	if every <= 0 {
-		every = 32
-	}
-	c.latMu.Lock()
-	c.autoTuneEvery = every
-	c.latMu.Unlock()
-}
-
-// DisableAutoTune stops this client from re-tuning the worker budget.
-// Latency observation continues; the budget keeps its current value.
-func (c *Cached) DisableAutoTune() {
-	c.latMu.Lock()
-	c.autoTuneEvery = 0
-	c.latMu.Unlock()
 }
 
 // Stats returns cache hit/miss counts.

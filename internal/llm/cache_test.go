@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 // countingClient is a minimal Client that counts Complete invocations.
@@ -124,84 +122,5 @@ func TestCachedConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 5 {
 		t.Fatalf("cache len = %d, want 5", c.Len())
-	}
-}
-
-// slowClient injects a fixed wall latency per inner call so latency
-// observation is testable.
-type slowClient struct {
-	countingClient
-	delay time.Duration
-}
-
-func (s *slowClient) Complete(req Request) (Response, error) {
-	time.Sleep(s.delay)
-	return s.countingClient.Complete(req)
-}
-
-func (s *slowClient) Embed(text string) ([]float64, error) {
-	time.Sleep(s.delay)
-	return s.countingClient.Embed(text)
-}
-
-func TestObservedLatencyCountsInnerCallsOnly(t *testing.T) {
-	c := NewCached(&slowClient{delay: 2 * time.Millisecond})
-	if _, err := c.Complete(req("hello", 0)); err != nil {
-		t.Fatal(err)
-	}
-	mean, calls := c.ObservedLatency()
-	if calls != 1 || mean < time.Millisecond {
-		t.Fatalf("after miss: mean=%v calls=%d", mean, calls)
-	}
-	// A cache hit costs no I/O and must not contribute an observation.
-	if _, err := c.Complete(req("hello", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, calls = c.ObservedLatency(); calls != 1 {
-		t.Fatalf("cache hit was observed: calls=%d", calls)
-	}
-	// Embeds and sampled completions pass through and are observed.
-	if _, err := c.Embed("text"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Complete(req("sampled", 0.7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, calls = c.ObservedLatency(); calls != 3 {
-		t.Fatalf("embed/sampled not observed: calls=%d", calls)
-	}
-}
-
-func TestEnableAutoTuneRaisesBudgetForSlowBackend(t *testing.T) {
-	prev := parallel.Limit()
-	t.Cleanup(func() { parallel.SetLimit(prev) })
-	parallel.SetLimit(parallel.DefaultLimit())
-
-	c := NewCached(&slowClient{delay: 12 * time.Millisecond})
-	c.EnableAutoTune(2)
-	for i := 0; i < 2; i++ {
-		if _, err := c.Complete(req(fmt.Sprintf("p-%d", i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := parallel.Limit(); got <= parallel.DefaultLimit() {
-		t.Fatalf("auto-tune left budget at %d for a 12ms backend (default %d)", got, parallel.DefaultLimit())
-	}
-}
-
-func TestAutoTuneLeavesFastBackendAlone(t *testing.T) {
-	prev := parallel.Limit()
-	t.Cleanup(func() { parallel.SetLimit(prev) })
-	parallel.SetLimit(parallel.DefaultLimit())
-
-	c := NewCached(&countingClient{}) // simulated: microsecond calls
-	c.EnableAutoTune(1)
-	for i := 0; i < 4; i++ {
-		if _, err := c.Complete(req(fmt.Sprintf("q-%d", i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := parallel.Limit(); got != parallel.DefaultLimit() {
-		t.Fatalf("auto-tune moved budget to %d for a CPU-bound backend", got)
 	}
 }

@@ -28,24 +28,23 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // budget is the number of extra worker goroutines the whole process may
 // still spawn; configured is the limit it refills to as grants return. The
 // caller-runs design means total concurrency is bounded by budget+1 ≈
 // GOMAXPROCS. Keeping the pair means resizing is a delta on budget rather
-// than a swap, so SetLimit/AutoTune stay correct while reservations are
+// than a swap, so SetLimit stays correct while reservations are
 // outstanding (budget may then dip negative until grants drain back).
 var (
 	budget     atomic.Int64
 	configured atomic.Int64
 )
 
-// BudgetEnv is the environment variable that pins the extra-worker budget:
-// when set to a non-negative integer it overrides the GOMAXPROCS−1 default
-// at startup and makes AutoTune a no-op, so operators keep the last word
-// over the auto-sizing heuristic.
+// BudgetEnv is the environment variable that sets the extra-worker budget
+// at startup: a non-negative integer overrides the GOMAXPROCS−1 default
+// (unparsable or negative values are ignored). SetLimit can still resize
+// the budget afterwards.
 const BudgetEnv = "RCACOPILOT_PARALLEL_BUDGET"
 
 func init() {
@@ -88,8 +87,8 @@ func Configured() int { return int(configured.Load()) }
 // SetLimit resets the process-wide extra-worker budget and returns the
 // previous configured value. The default (GOMAXPROCS−1) is right for the
 // CPU-bound simulated substrates; deployments whose LLM and telemetry
-// backends block on real I/O should raise it — AutoSize computes how far —
-// since workers waiting on the network don't occupy a CPU. Tests also use
+// backends block on real I/O should raise it, since workers waiting on the
+// network don't occupy a CPU. Tests also use
 // it to force true goroutine interleaving on small machines. Resizing is
 // safe while work is in flight: outstanding grants are unaffected and the
 // available budget shifts by the difference.
@@ -104,47 +103,6 @@ func SetLimit(n int) int {
 			return int(cur)
 		}
 	}
-}
-
-// ioBoundThreshold is the mean per-call wall latency above which a backend
-// counts as network-bound. The simulated chat/embed substrates answer in
-// well under a millisecond of real time; any real HTTP LLM endpoint takes
-// tens to hundreds of milliseconds, nearly all of it waiting.
-const ioBoundThreshold = 5 * time.Millisecond
-
-// maxAutoBudget caps AutoSize so a pathological latency sample cannot
-// request an unbounded goroutine fleet.
-const maxAutoBudget = 128
-
-// AutoSize suggests an extra-worker budget for a backend whose calls take
-// meanCall of wall time. Below ioBoundThreshold the backend is CPU-bound
-// and the GOMAXPROCS−1 default stands. Above it, workers spend most of a
-// call parked on the network without occupying a CPU, so the budget scales
-// with the wait-to-compute ratio — roughly GOMAXPROCS·(meanCall/threshold)
-// concurrent calls keep the cores busy — capped at maxAutoBudget.
-func AutoSize(meanCall time.Duration) int {
-	if meanCall < ioBoundThreshold {
-		return DefaultLimit()
-	}
-	n := runtime.GOMAXPROCS(0) * int(meanCall/ioBoundThreshold)
-	if n > maxAutoBudget {
-		n = maxAutoBudget
-	}
-	return n - 1
-}
-
-// AutoTune resizes the process-wide budget from a measured mean call
-// latency (see AutoSize) and returns the resulting configured limit. The
-// BudgetEnv environment override wins: when set, AutoTune changes nothing.
-// Safe to call while work is in flight — llm.Cached invokes it between
-// completed calls from inside pooled workers.
-func AutoTune(meanCall time.Duration) int {
-	if v, pinned := envBudget(); pinned {
-		return v
-	}
-	n := AutoSize(meanCall)
-	SetLimit(n)
-	return n
 }
 
 // Reserve takes up to want extra-worker slots from the process-wide budget

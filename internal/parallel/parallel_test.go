@@ -224,51 +224,13 @@ func TestReserveReleaseRoundTrip(t *testing.T) {
 	}
 }
 
-// ---- auto-sizing ----
+// ---- budget configuration ----
 
 // restoreLimit resets the configured budget after a test that resizes it.
 func restoreLimit(t *testing.T) {
 	t.Helper()
 	prev := Limit()
 	t.Cleanup(func() { SetLimit(prev) })
-}
-
-func TestAutoSizeCPUBoundKeepsDefault(t *testing.T) {
-	for _, mean := range []time.Duration{0, 50 * time.Microsecond, ioBoundThreshold - 1} {
-		if got := AutoSize(mean); got != DefaultLimit() {
-			t.Fatalf("AutoSize(%v) = %d, want default %d", mean, got, DefaultLimit())
-		}
-	}
-}
-
-func TestAutoSizeScalesWithLatency(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	if got, want := AutoSize(10*ioBoundThreshold), gmp*10-1; got != want {
-		t.Fatalf("AutoSize(10x threshold) = %d, want %d", got, want)
-	}
-	// A slower backend deserves at least as many workers.
-	if AutoSize(40*ioBoundThreshold) < AutoSize(10*ioBoundThreshold) {
-		t.Fatal("AutoSize not monotone in latency")
-	}
-	// Pathological latency hits the cap.
-	if got := AutoSize(time.Hour); got != maxAutoBudget-1 {
-		t.Fatalf("AutoSize(1h) = %d, want cap %d", got, maxAutoBudget-1)
-	}
-}
-
-func TestAutoTuneAppliesAndEnvPins(t *testing.T) {
-	restoreLimit(t)
-	got := AutoTune(20 * ioBoundThreshold)
-	if want := AutoSize(20 * ioBoundThreshold); got != want || Limit() != want {
-		t.Fatalf("AutoTune = %d (limit %d), want %d", got, Limit(), want)
-	}
-
-	// With the env override set, AutoTune must not move the budget.
-	SetLimit(3)
-	t.Setenv(BudgetEnv, "3")
-	if got := AutoTune(time.Hour); got != 3 || Limit() != 3 {
-		t.Fatalf("pinned AutoTune moved the budget: got %d, limit %d", got, Limit())
-	}
 }
 
 func TestEnvBudgetParsing(t *testing.T) {

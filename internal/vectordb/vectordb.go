@@ -356,13 +356,10 @@ type Options struct {
 	// Sharded.TrainIVF or Rebalance); 0 or 1 selects the flat exact store.
 	Shards int
 	// RecallTarget enables the recall-SLO auto-tuner on the sharded store:
-	// shadow queries measure observed recall@k and the effective probe
-	// budget is grown/shrunk to hold this target (see
-	// Sharded.EnableAdaptive). 0 disables; ignored by the flat store.
+	// shadow queries (AutoConfig's default rate) measure observed recall@k
+	// and the effective probe budget is grown/shrunk to hold this target
+	// (see Sharded.EnableAdaptive). 0 disables; ignored by the flat store.
 	RecallTarget float64
-	// ShadowRate is the fraction of live queries the auto-tuner shadows
-	// with an exact fan-out (default 0.05 when RecallTarget is set).
-	ShadowRate float64
 	// RetrainSkew enables skew-triggered IVF retraining when >= 1: once
 	// max/mean of the per-shard entry counts — or the centroid-drift ratio
 	// of fresh inserts — reaches this value, TrainIVF is kicked
@@ -388,7 +385,6 @@ func NewIndex(dim int, opts Options) Index {
 			// core.Config rejects them before Options is built.
 			_, _ = s.EnableAdaptive(AutoConfig{
 				RecallTarget: opts.RecallTarget,
-				ShadowRate:   opts.ShadowRate,
 				RetrainSkew:  opts.RetrainSkew,
 			})
 		}

@@ -186,30 +186,27 @@ type Config struct {
 	// scales, not what it returns.
 	Shards int
 	// Partitioner selects shard routing when Shards > 1:
-	// PartitionCategory (default) or PartitionIVF, which trains a coarse
-	// quantizer from the stored vectors after each AddHistory batch.
+	// PartitionCategory or PartitionIVF, which trains a coarse quantizer
+	// from the stored vectors after each AddHistory batch. Unset, it is
+	// PartitionIVF when RecallTarget or RetrainSkew is set and
+	// PartitionCategory otherwise.
 	Partitioner string
 	// RecallTarget enables probe-limited approximate serving with an
 	// adaptive probe budget: queries search only the IVF partitions
-	// nearest the query instead of every shard, the store shadows a
-	// ShadowRate fraction of live retrievals with an exact fan-out off the
-	// hot path, measures observed recall@K, and grows/shrinks the probe
-	// count to hold this target (e.g. 0.95) — so one deployment config
-	// serves head and tail queries without hand-tuning. Requires Shards >
-	// 1 with Partitioner PartitionIVF; dormant (exact) until the quantizer
-	// trains on the first AddHistory batch. 0 disables, keeping exact
-	// fan-out, which is bit-identical to the flat store.
+	// nearest the query instead of every shard, the store shadows one live
+	// retrieval in twenty with an exact fan-out off the hot path, measures
+	// observed recall@K, and grows/shrinks the probe count to hold this
+	// target (e.g. 0.95) — so one deployment config serves head and tail
+	// queries without hand-tuning. Requires Shards > 1 and the IVF
+	// partitioner; dormant (exact) until the quantizer trains on the first
+	// AddHistory batch. 0 disables, keeping exact fan-out, which is
+	// bit-identical to the flat store.
 	RecallTarget float64
-	// ShadowRate is the fraction of live retrievals shadowed for the
-	// recall SLO, in (0, 1]; 0 defaults to 0.05. Only meaningful with
-	// RecallTarget.
-	ShadowRate float64
 	// RetrainSkew, when >= 1, retrains the IVF quantizer automatically
 	// (online, rate-limited) once per-shard imbalance or centroid drift
 	// reaches this ratio — so a corpus that grows and drifts as incidents
 	// stream in keeps balanced partitions without anyone scheduling
-	// retrains. Requires Shards > 1 with Partitioner PartitionIVF. 0
-	// disables.
+	// retrains. Requires Shards > 1 and the IVF partitioner. 0 disables.
 	RetrainSkew float64
 	// Quantized enables the two-stage quantized probe scan: probe-limited
 	// retrievals walk a per-shard int8 sidecar to collect K×4 candidates
@@ -231,12 +228,9 @@ type Config struct {
 	// amortizing each shard's memory walk across the batch. Results stay
 	// bit-identical to unbatched serving, and a query arriving on an idle
 	// collector is served immediately (no added latency when there is
-	// nothing to coalesce with). 0 or 1 disables batching.
+	// nothing to coalesce with; an under-filled batch waits at most 500µs
+	// for companions). 0 or 1 disables batching.
 	BatchMax int
-	// BatchWait bounds how long the collector holds an under-filled batch
-	// open waiting for companions before flushing it. 0 defaults to 500µs.
-	// Only meaningful with BatchMax >= 2.
-	BatchWait time.Duration
 	// WALDir enables the durable vector store: TrainEmbedding opens a
 	// write-ahead-logged store rooted at this directory, replaying any
 	// previous snapshot + log, so a SIGKILL'd deployment reboots with its
@@ -298,11 +292,9 @@ func NewSystem(fleet *Fleet, cfg Config) (*System, error) {
 		Shards:          cfg.Shards,
 		Partitioner:     cfg.Partitioner,
 		RecallTarget:    cfg.RecallTarget,
-		ShadowRate:      cfg.ShadowRate,
 		RetrainSkew:     cfg.RetrainSkew,
 		Quantized:       cfg.Quantized,
 		BatchMax:        cfg.BatchMax,
-		BatchWait:       cfg.BatchWait,
 		WALDir:          cfg.WALDir,
 		WALSyncEvery:    cfg.WALSyncEvery,
 		WALSyncInterval: cfg.WALSyncInterval,

@@ -60,8 +60,8 @@ func TestSystemShardedMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestSystemAdaptiveServing exercises the Config.RecallTarget/ShadowRate/
-// RetrainSkew wiring end to end: the adaptive controller must be live on
+// TestSystemAdaptiveServing exercises the Config.RecallTarget/RetrainSkew
+// wiring end to end: the adaptive controller must be live on
 // the system's index after AddHistory (trained IVF, probe budget within
 // [1, shards]), and the full pipeline must predict while shadow sampling
 // runs behind retrieval.
@@ -69,7 +69,7 @@ func TestSystemAdaptiveServing(t *testing.T) {
 	c := sharedCorpus(t)
 	sys, err := NewSystem(c.Fleet, Config{
 		Seed: 2, Shards: 7, Partitioner: PartitionIVF,
-		RecallTarget: 0.95, ShadowRate: 1, RetrainSkew: 2,
+		RecallTarget: 0.95, RetrainSkew: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestSystemAdaptiveServing(t *testing.T) {
 		t.Fatalf("effective probe budget %d outside [1, 7]", p)
 	}
 	// Bad adaptive configs must be rejected at the facade too.
-	if _, err := NewSystem(c.Fleet, Config{Seed: 2, RecallTarget: 0.95}); err == nil {
+	if _, err := NewSystem(c.Fleet, Config{Seed: 2, Shards: 1, RecallTarget: 0.95}); err == nil {
 		t.Fatal("RecallTarget without an IVF sharded store must fail")
 	}
 }
