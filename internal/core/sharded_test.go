@@ -171,17 +171,24 @@ func TestAdaptiveCopilotPredicts(t *testing.T) {
 	if _, ok := s.Partitioner().(*vectordb.IVF); !ok {
 		t.Fatalf("partitioner is %T, want trained IVF", s.Partitioner())
 	}
-	probe := e.corpus.Incidents[41].Clone()
-	probe.Summary, probe.Predicted = "", ""
-	res, err := c.Predict(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Category == "" {
-		t.Fatal("adaptive Predict returned no category")
+	// The tuner shadows one query in 20, so predict enough probes for at
+	// least one exact shadow to run alongside the live pipeline.
+	for _, in := range e.corpus.Incidents[41:65] {
+		probe := in.Clone()
+		probe.Summary, probe.Predicted = "", ""
+		res, err := c.Predict(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Category == "" {
+			t.Fatal("adaptive Predict returned no category")
+		}
 	}
 	tn := s.AdaptiveTuner()
 	tn.Quiesce()
+	if tn.Shadows() == 0 {
+		t.Fatal("no shadow query ran behind 24 adaptive predictions")
+	}
 	if p := s.Probes(); p < 1 || p > 4 {
 		t.Fatalf("effective probe budget %d outside [1, 4]", p)
 	}

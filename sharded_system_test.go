@@ -92,16 +92,23 @@ func TestSystemAdaptiveServing(t *testing.T) {
 	if _, ok := s.Partitioner().(*vectordb.IVF); !ok {
 		t.Fatalf("partitioner is %T after AddHistory, want trained IVF", s.Partitioner())
 	}
-	probe := c.Incidents[200].Clone()
-	probe.Summary, probe.Predicted, probe.Explanation = "", "", ""
-	res, err := sys.Predict(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Category == "" {
-		t.Fatal("adaptive Predict returned no category")
+	// The tuner shadows one query in 20, so predict enough probes for at
+	// least one exact shadow to run alongside the live pipeline.
+	for _, in := range c.Incidents[200:224] {
+		probe := in.Clone()
+		probe.Summary, probe.Predicted, probe.Explanation = "", "", ""
+		res, err := sys.Predict(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Category == "" {
+			t.Fatal("adaptive Predict returned no category")
+		}
 	}
 	tn.Quiesce()
+	if tn.Shadows() == 0 {
+		t.Fatal("no shadow query ran behind 24 adaptive predictions")
+	}
 	if p := s.Probes(); p < 1 || p > 7 {
 		t.Fatalf("effective probe budget %d outside [1, 7]", p)
 	}
