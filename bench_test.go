@@ -287,7 +287,7 @@ func benchIncident(b *testing.B) (*core.Copilot, *incident.Incident) {
 	b.Helper()
 	env := sharedBenchEnv(b)
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 1})
-	cop, err := core.New(env.Corpus.Fleet, chat, core.Config{})
+	cop, err := core.New(env.Corpus.Fleet, core.Config{Chat: chat})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func BenchmarkHandleIncidentsParallelCollect(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			env := sharedBenchEnv(b)
 			chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 1})
-			cop, err := core.New(env.Corpus.Fleet, chat, core.Config{})
+			cop, err := core.New(env.Corpus.Fleet, core.Config{Chat: chat})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,8 +56,11 @@ import (
 	"repro/internal/vectordb"
 )
 
+// experiments are the names -run accepts besides "all".
+var experiments = []string{"table1", "table2", "table3", "table4", "fig2", "fig3", "fig12", "trust", "ablation"}
+
 func main() {
-	run := flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,fig2,fig3,fig12,trust,ablation")
+	run := flag.String("run", "all", "comma-separated experiments: all or "+strings.Join(experiments, ","))
 	seed := flag.Int64("seed", 1, "corpus and model seed")
 	teamsN := flag.Int("team-incidents", 20, "incidents per team for table4")
 	workers := flag.Int("workers", 0, "worker-pool size; 0 = one per CPU, 1 = sequential")
@@ -88,7 +92,11 @@ func main() {
 
 	want := map[string]bool{}
 	for _, r := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(r)] = true
+		r = strings.TrimSpace(r)
+		if r != "all" && !slices.Contains(experiments, r) {
+			fatal(fmt.Errorf("unknown experiment %q in -run (valid: all, %s)", r, strings.Join(experiments, ", ")))
+		}
+		want[r] = true
 	}
 	all := want["all"]
 

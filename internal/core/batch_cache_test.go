@@ -27,7 +27,7 @@ func (c *countingEmbedder) Embed(text string) ([]float64, error) {
 func TestRetrieveEmbedCache(t *testing.T) {
 	e := getEnv(t)
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
-	c, err := New(e.corpus.Fleet, chat, Config{})
+	c, err := New(e.corpus.Fleet, Config{Chat: chat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestBatchingConfig(t *testing.T) {
 	e := getEnv(t)
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
 
-	if _, err := New(e.corpus.Fleet, chat, Config{BatchMax: -1}); err == nil {
+	if _, err := New(e.corpus.Fleet, Config{Chat: chat, BatchMax: -1}); err == nil {
 		t.Fatal("negative BatchMax accepted")
 	}
 
-	plain, err := New(e.corpus.Fleet, chat, Config{})
+	plain, err := New(e.corpus.Fleet, Config{Chat: chat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBatchingConfig(t *testing.T) {
 		t.Fatal("Batcher present without BatchMax")
 	}
 
-	c, err := New(e.corpus.Fleet, chat, Config{BatchMax: 4})
+	c, err := New(e.corpus.Fleet, Config{Chat: chat, BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSetEmbedderReportsDroppedEntries(t *testing.T) {
 	}
 	// First attachment on a fresh copilot drops nothing.
 	chat := c.Chat()
-	fresh, err := New(e.corpus.Fleet, chat, Config{})
+	fresh, err := New(e.corpus.Fleet, Config{Chat: chat})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/handler"
 	"repro/internal/incident"
 	"repro/internal/llm"
+	"repro/internal/llm/simgpt"
 	"repro/internal/parallel"
 	"repro/internal/prompt"
 	"repro/internal/timeutil"
@@ -132,8 +133,24 @@ const (
 	PartitionIVF = "ivf"
 )
 
-// Config parameterizes a Copilot.
+// Config parameterizes a Copilot, and through the root package's
+// NewSystem a whole deployment: the chat model, the retrieval embedding,
+// K and α (§4.2), and the serving store.
 type Config struct {
+	// Model selects the simulated chat model New builds when Chat is nil:
+	// simgpt.GPT4 (the default) or simgpt.GPT35.
+	Model string
+	// Seed drives all stochastic behaviour: the simulated chat model and
+	// the FastText training seed (see Embedding).
+	Seed int64
+	// Embedding overrides FastText training parameters for the root
+	// package's TrainEmbedding. Embedding.Seed defaults to Seed.
+	Embedding fasttext.Config
+	// Chat overrides the chat model entirely (New then ignores Model and
+	// Seed for it); use it to plug a real LLM endpoint into the pipeline.
+	// Copilot.Config reports the client in use.
+	Chat llm.Client
+	// Team owns the handlers (default "Transport").
 	Team string
 	// MultiTenant serves each incident's owning team as a tenant over the
 	// shared vector store: learned entries are tagged with the incident's
@@ -194,11 +211,18 @@ type Config struct {
 	// never touches the sidecar, so quantization without a probe budget
 	// would silently never engage. See vectordb.Sharded.EnableQuantized.
 	Quantized bool
+	// AsyncLearnQueue, when positive, moves feedback-loop learning off the
+	// hot path: the root package's Feedback() verdicts enqueue onto a
+	// background ingest worker with this queue capacity instead of
+	// re-summarizing inline. Call Feedback().Flush() for read-your-writes
+	// before querying. 0 keeps the synchronous default; negative values
+	// are rejected.
+	AsyncLearnQueue int
 	// BatchMax enables micro-batched retrieval: concurrent retrieval
 	// queries (Retrieve, Predict's neighbour lookup) coalesce through a
 	// vectordb.Batcher into TopKBatch executions of at most this size,
 	// amortizing the shard scan across the batch. An under-filled batch
-	// waits at most batchWait for companions. 0 or 1 disables batching;
+	// waits at most 500µs for companions. 0 or 1 disables batching;
 	// negative values are rejected. Idle traffic keeps the single-query
 	// fast path, so enabling batching does not add latency when there is
 	// no concurrency to harvest.
@@ -211,7 +235,9 @@ type Config struct {
 	// logged entries were embedded in (the daemon trains its FastText
 	// model deterministically from the corpus, so a reboot gets the same
 	// space); a dimension mismatch fails SetEmbedder rather than serving
-	// mixed-space vectors. Empty (the default) keeps the in-memory store.
+	// mixed-space vectors. Train the embedding from the same corpus with
+	// the same Seed on every boot — the logged vectors belong to that
+	// embedding space. Empty (the default) keeps the in-memory store.
 	WALDir string
 	// WALSyncEvery is the WAL group-commit size boundary: the append that
 	// fills the batch to this many records fsyncs it. 0 defaults to 64;
@@ -230,6 +256,12 @@ type Config struct {
 // WithDefaults returns the config with every unset field at the default
 // New applies (the effective configuration Copilot.Config reports).
 func (c Config) WithDefaults() Config {
+	if c.Model == "" && c.Chat == nil {
+		c.Model = simgpt.GPT4
+	}
+	if c.Embedding.Seed == 0 {
+		c.Embedding.Seed = c.Seed
+	}
 	if c.Team == "" {
 		c.Team = "Transport"
 	}
@@ -298,6 +330,9 @@ func (c Config) Validate() error {
 		// masking a misconfiguration.
 		return fmt.Errorf("core: Quantized requires RecallTarget > 0 (probe-limited serving); exact fan-out never uses the sidecar")
 	}
+	if c.AsyncLearnQueue < 0 {
+		return fmt.Errorf("core: negative AsyncLearnQueue %d (use 0 to learn inline)", c.AsyncLearnQueue)
+	}
 	if c.BatchMax < 0 {
 		return fmt.Errorf("core: negative BatchMax %d (use 0 to disable batching)", c.BatchMax)
 	}
@@ -321,7 +356,6 @@ type Copilot struct {
 	fleet    *transport.Fleet
 	registry *handler.Registry
 	runner   *handler.Runner
-	chat     llm.Client
 	meter    *timeutil.CostMeter
 
 	// mu guards the retriever state (embedder, db, batcher), which
@@ -342,23 +376,30 @@ type Copilot struct {
 	embedCache *embedCache
 }
 
-// New assembles a Copilot over a fleet and a chat model. The embedder (and
-// with it the vector store) is attached later via SetEmbedder, once it has
-// been trained on historical incidents.
-func New(fleet *transport.Fleet, chat llm.Client, cfg Config) (*Copilot, error) {
-	if fleet == nil || chat == nil {
-		return nil, fmt.Errorf("core: fleet and chat model are required")
+// New assembles a Copilot over a fleet, chatting through cfg.Chat or, when
+// that is nil, a simulated cfg.Model endpoint seeded with cfg.Seed. The
+// embedder (and with it the vector store) is attached later via
+// SetEmbedder, once it has been trained on historical incidents.
+func New(fleet *transport.Fleet, cfg Config) (*Copilot, error) {
+	if fleet == nil {
+		return nil, fmt.Errorf("core: fleet is required")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
+	if cfg.Chat == nil {
+		chat, err := simgpt.New(cfg.Model, simgpt.Options{Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Chat = chat
+	}
 	c := &Copilot{
 		cfg:        cfg,
 		fleet:      fleet,
 		registry:   handler.NewRegistry(nil),
 		runner:     handler.NewRunner(fleet),
-		chat:       chat,
 		meter:      timeutil.NewCostMeter(),
 		embedCache: newEmbedCache(embedCacheSize),
 	}
@@ -380,7 +421,7 @@ func (c *Copilot) Runner() *handler.Runner { return c.runner }
 func (c *Copilot) Meter() *timeutil.CostMeter { return c.meter }
 
 // Chat returns the underlying chat model.
-func (c *Copilot) Chat() llm.Client { return c.chat }
+func (c *Copilot) Chat() llm.Client { return c.cfg.Chat }
 
 // Config returns the effective configuration.
 func (c *Copilot) Config() Config { return c.cfg }
@@ -581,9 +622,9 @@ func (c *Copilot) Summarize(inc *incident.Incident) error {
 	if diag == "" {
 		return fmt.Errorf("core: incident %s has no diagnostic information to summarize (run Collect first)", inc.ID)
 	}
-	budget := c.chat.ContextWindow() - c.cfg.PromptReserve
-	diag = prompt.TrimToTokens(diag, budget, c.chat.CountTokens)
-	resp, err := c.chat.Complete(prompt.Summary(diag))
+	budget := c.cfg.Chat.ContextWindow() - c.cfg.PromptReserve
+	diag = prompt.TrimToTokens(diag, budget, c.cfg.Chat.CountTokens)
+	resp, err := c.cfg.Chat.Complete(prompt.Summary(diag))
 	if err != nil {
 		return fmt.Errorf("core: summarize %s: %w", inc.ID, err)
 	}
@@ -663,7 +704,7 @@ func (c *Copilot) prepareEntry(embedder Embedder, inc *incident.Incident) (vecto
 	}
 	demo := inc.Summary
 	if demo == "" {
-		demo = prompt.TrimToTokens(c.embedText(inc), 200, c.chat.CountTokens)
+		demo = prompt.TrimToTokens(c.embedText(inc), 200, c.cfg.Chat.CountTokens)
 	}
 	entry := vectordb.Entry{
 		ID:       inc.ID,
@@ -798,19 +839,19 @@ func (c *Copilot) Predict(inc *incident.Incident) (prompt.Result, error) {
 		if err != nil {
 			return prompt.Result{}, err
 		}
-		budget := (c.chat.ContextWindow() - c.cfg.PromptReserve) / max(1, len(hits))
+		budget := (c.cfg.Chat.ContextWindow() - c.cfg.PromptReserve) / max(1, len(hits))
 		for _, h := range hits {
 			demos = append(demos, prompt.Demo{
-				Summary:  prompt.TrimToTokens(h.Entry.Summary, budget, c.chat.CountTokens),
+				Summary:  prompt.TrimToTokens(h.Entry.Summary, budget, c.cfg.Chat.CountTokens),
 				Category: h.Entry.Category,
 			})
 		}
 	}
 	input := c.ContextText(inc)
-	inputBudget := (c.chat.ContextWindow() - c.cfg.PromptReserve) / 3
-	input = prompt.TrimToTokens(input, inputBudget, c.chat.CountTokens)
+	inputBudget := (c.cfg.Chat.ContextWindow() - c.cfg.PromptReserve) / 3
+	input = prompt.TrimToTokens(input, inputBudget, c.cfg.Chat.CountTokens)
 
-	resp, err := c.chat.Complete(prompt.Prediction(input, demos))
+	resp, err := c.cfg.Chat.Complete(prompt.Prediction(input, demos))
 	if err != nil {
 		return prompt.Result{}, fmt.Errorf("core: predict %s: %w", inc.ID, err)
 	}

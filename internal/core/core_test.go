@@ -50,8 +50,8 @@ func getEnv(t *testing.T) testEnv {
 func newCopilot(t *testing.T, cfg Config) *Copilot {
 	t.Helper()
 	e := getEnv(t)
-	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
-	c, err := New(e.corpus.Fleet, chat, cfg)
+	cfg.Chat = simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
+	c, err := New(e.corpus.Fleet, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func newCopilot(t *testing.T, cfg Config) *Copilot {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, Config{}); err == nil {
-		t.Fatal("nil fleet/chat should fail")
+	if _, err := New(nil, Config{}); err == nil {
+		t.Fatal("nil fleet should fail")
 	}
 }
 
@@ -72,13 +72,13 @@ func TestNewRejectsBadAlpha(t *testing.T) {
 	e := getEnv(t)
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 3})
 	for _, a := range []float64{-0.3, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := New(e.corpus.Fleet, chat, Config{Alpha: a})
+		_, err := New(e.corpus.Fleet, Config{Chat: chat, Alpha: a})
 		if err == nil || !strings.Contains(err.Error(), "Alpha") {
 			t.Fatalf("Alpha %v: got error %v, want a rejection naming Alpha", a, err)
 		}
 	}
 	for _, a := range []float64{0, 1e-9, 0.3, 5} {
-		if _, err := New(e.corpus.Fleet, chat, Config{Alpha: a}); err != nil {
+		if _, err := New(e.corpus.Fleet, Config{Chat: chat, Alpha: a}); err != nil {
 			t.Fatalf("Alpha %v: %v", a, err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestLearnAndPredictRecurringCategory(t *testing.T) {
 func TestPredictRequiresEmbedder(t *testing.T) {
 	e := getEnv(t)
 	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: 1})
-	c, err := New(e.corpus.Fleet, chat, Config{})
+	c, err := New(e.corpus.Fleet, Config{Chat: chat})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,10 @@ func TestLearnBatchTrainsIVFPartitioner(t *testing.T) {
 // TestNewRejectsUnknownPartitioner covers config validation.
 func TestNewRejectsUnknownPartitioner(t *testing.T) {
 	e := getEnv(t)
-	chat := newCopilot(t, Config{}).Chat()
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 4, Partitioner: "lsh"}); err == nil {
+	if _, err := New(e.corpus.Fleet, Config{Shards: 4, Partitioner: "lsh"}); err == nil {
 		t.Fatal("unknown partitioner must fail")
 	}
-	if _, err := New(e.corpus.Fleet, chat, Config{Shards: 4, Partitioner: PartitionIVF}); err != nil {
+	if _, err := New(e.corpus.Fleet, Config{Shards: 4, Partitioner: PartitionIVF}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +126,6 @@ func TestProbeConfigValidation(t *testing.T) {
 // as an installed controller.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	e := getEnv(t)
-	chat := newCopilot(t, Config{}).Chat()
 	bad := []Config{
 		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: 1.5},
 		{Shards: 4, Partitioner: PartitionIVF, RecallTarget: -0.5},
@@ -136,7 +134,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Shards: 1, RetrainSkew: 1.5},
 	}
 	for i, cfg := range bad {
-		if _, err := New(e.corpus.Fleet, chat, cfg); err == nil {
+		if _, err := New(e.corpus.Fleet, cfg); err == nil {
 			t.Fatalf("case %d: config %+v must be rejected", i, cfg)
 		}
 	}
@@ -253,14 +251,13 @@ func TestShardsDefaultToNumCPU(t *testing.T) {
 // index with the sidecar enabled at the default overfetch factor.
 func TestQuantizedConfigValidation(t *testing.T) {
 	e := getEnv(t)
-	chat := newCopilot(t, Config{}).Chat()
 	bad := []Config{
 		{Shards: 4, Partitioner: PartitionIVF, Quantized: true},
 		{Shards: 1, Quantized: true},
 		{Shards: 1, RecallTarget: 0.9, Quantized: true},
 	}
 	for i, cfg := range bad {
-		if _, err := New(e.corpus.Fleet, chat, cfg); err == nil {
+		if _, err := New(e.corpus.Fleet, cfg); err == nil {
 			t.Fatalf("case %d: config %+v must be rejected", i, cfg)
 		}
 	}

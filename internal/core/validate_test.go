@@ -43,6 +43,7 @@ func TestConfigValidate(t *testing.T) {
 		{"quantized without recall target", Config{Shards: 4, Quantized: true}, "Quantized"},
 		{"quantized with retrain only", Config{Shards: 4, RetrainSkew: 2, Quantized: true}, "Quantized"},
 		{"negative batch max", Config{BatchMax: -1}, "BatchMax"},
+		{"negative async learn queue", Config{AsyncLearnQueue: -1}, "AsyncLearnQueue"},
 		{"negative wal sync every", Config{WALDir: "wal", WALSyncEvery: -1}, "WALSyncEvery"},
 		{"negative wal sync interval", Config{WALDir: "wal", WALSyncInterval: -time.Millisecond}, "WALSyncInterval"},
 		{"wal sync every without dir", Config{WALSyncEvery: 1}, "requires WALDir"},

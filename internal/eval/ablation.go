@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incident"
-	"repro/internal/llm/simgpt"
 	"repro/internal/parallel"
 	"repro/internal/prompt"
 	"repro/internal/vectordb"
@@ -55,8 +54,9 @@ func RunDesignAblation(e *Env) ([]AblationRow, error) {
 
 // runWithScale re-runs the pipeline with a different embedding scale.
 func runWithScale(e *Env, scale float64) (F1Scores, error) {
-	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed})
-	cop, err := core.New(e.Corpus.Fleet, chat, e.Config)
+	cfg := e.Config
+	cfg.Seed = e.Seed
+	cop, err := core.New(e.Corpus.Fleet, cfg)
 	if err != nil {
 		return F1Scores{}, err
 	}
@@ -74,8 +74,9 @@ func runWithScale(e *Env, scale float64) (F1Scores, error) {
 // demonstrations can all come from one dominant category, which is what the
 // constraint exists to prevent.
 func runNoDiversity(e *Env) (F1Scores, error) {
-	chat := simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed})
-	cop, err := core.New(e.Corpus.Fleet, chat, e.Config)
+	cfg := e.Config
+	cfg.Seed = e.Seed
+	cop, err := core.New(e.Corpus.Fleet, cfg)
 	if err != nil {
 		return F1Scores{}, err
 	}

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/incident"
 )
@@ -189,6 +191,48 @@ func TestTable4ShapeAndCalibration(t *testing.T) {
 		if ratio < 0.4 || ratio > 2.5 {
 			t.Errorf("%s exec = %.0fs, target %.0fs (ratio %.2f)", r.Team, r.AvgExecSeconds, teams[i].TargetExecSeconds, ratio)
 		}
+	}
+}
+
+// TestTable4TenantsPinned pins the co-tenant Table 4 run for one seed:
+// every row's calibrated execution time and every tenant's attributed
+// telemetry share. The collection is virtual-cost arithmetic over a seeded
+// fleet, so any change to the incident stream, handler matching or tenant
+// attribution moves these exact values.
+func TestTable4TenantsPinned(t *testing.T) {
+	rows, shares, err := RunTable4Tenants(3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := []Table4Row{
+		{"Team 1", 843.9633544275689, 213, 6},
+		{"Team 2", 302.6131078010994, 204, 6},
+		{"Team 3", 87.25017616845668, 88, 6},
+		{"Team 4", 397.42353767729395, 42, 6},
+		{"Team 5", 140.31289640591967, 41, 6},
+		{"Team 6", 99.01620859247357, 34, 6},
+		{"Team 7", 260.730091588499, 32, 6},
+		{"Team 8", 217.80126849894293, 32, 6},
+		{"Team 9", 304.10711765209305, 31, 6},
+		{"Team 10", 14.635658913488374, 18, 6},
+	}
+	wantShares := []TenantShare{
+		{"Team 1", 35600 * time.Millisecond, 6},
+		{"Team 10", 23600 * time.Millisecond, 6},
+		{"Team 2", 28400 * time.Millisecond, 6},
+		{"Team 3", 29200 * time.Millisecond, 6},
+		{"Team 4", 31400 * time.Millisecond, 6},
+		{"Team 5", 36600 * time.Millisecond, 6},
+		{"Team 6", 38600 * time.Millisecond, 6},
+		{"Team 7", 20600 * time.Millisecond, 6},
+		{"Team 8", 30300 * time.Millisecond, 6},
+		{"Team 9", 33400 * time.Millisecond, 6},
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Errorf("rows = %+v\nwant %+v", rows, wantRows)
+	}
+	if !reflect.DeepEqual(shares, wantShares) {
+		t.Errorf("shares = %+v\nwant %+v", shares, wantShares)
 	}
 }
 

@@ -376,29 +376,10 @@ func RunTable4Tenants(seed int64, incidentsPerTeam int) ([]Table4Row, []TenantSh
 	}
 	fleet := transport.NewFleet(transport.DefaultConfig(seed))
 	registry := handler.NewRegistry(nil)
-	builtins, err := handler.BuiltinAll()
-	if err != nil {
-		return nil, nil, err
-	}
 	teams := Table4Teams()
 	for _, team := range teams {
-		for i := 0; i < team.EnabledHandlers; i++ {
-			h := builtins[i%len(builtins)].Clone()
-			h.Team = team.Name
-			if i >= len(builtins) {
-				h.Name = fmt.Sprintf("%s-v%d", h.Name, i/len(builtins))
-				h.AlertType = incident.AlertType(fmt.Sprintf("%s#%d", h.AlertType, i/len(builtins)))
-			}
-			if _, err := registry.Save(h); err != nil {
-				return nil, nil, err
-			}
-		}
-		got, err := registry.EnabledCount(team.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		if got != team.EnabledHandlers {
-			return nil, nil, fmt.Errorf("table4 tenants %s: inventory mismatch: %d != %d", team.Name, got, team.EnabledHandlers)
+		if err := installInventory(registry, team); err != nil {
+			return nil, nil, fmt.Errorf("table4 tenants %s: %w", team.Name, err)
 		}
 	}
 
@@ -408,38 +389,17 @@ func RunTable4Tenants(seed int64, incidentsPerTeam int) ([]Table4Row, []TenantSh
 	// virtual cost, which does not depend on wall-clock parallelism.
 	runner := handler.NewRunner(fleet)
 	rng := rand.New(rand.NewSource(seed))
-	cats := transport.Table1Categories()
 	rows := make([]Table4Row, len(teams))
 	for ti, team := range teams {
 		scale := team.TargetExecSeconds / base.Seconds()
-		var total time.Duration
-		for i := 0; i < incidentsPerTeam; i++ {
-			cat := cats[rng.Intn(len(cats))]
-			fault, err := fleet.Inject(cat, rng.Intn(len(fleet.Forests)))
-			if err != nil {
-				return nil, nil, err
-			}
-			alert, ok := fleet.FirstAlert()
-			if !ok {
-				return nil, nil, fmt.Errorf("table4 tenants %s: no alert for %s", team.Name, cat)
-			}
-			inc := core.IncidentAt(alert, incident.Sev2, team.Name, ti*incidentsPerTeam+i, fleet.Clock().Now())
-			h, err := registry.Match(team.Name, inc)
-			if err != nil {
-				return nil, nil, err
-			}
-			ec := fleet.NewExecTenant(inc.CreatedAt, team.Name)
-			report, err := runner.RunWith(ec, h, inc)
-			ec.Finish() // merge even on error, matching the ambient path
-			if err != nil {
-				return nil, nil, err
-			}
-			total += report.VirtualCost
-			fault.Repair()
+		mean, err := driveIncidents(fleet, runner, rng, team.Name, ti*incidentsPerTeam, incidentsPerTeam, true,
+			func(inc *incident.Incident) (*handler.Handler, error) { return registry.Match(team.Name, inc) })
+		if err != nil {
+			return nil, nil, fmt.Errorf("table4 tenants %s: %w", team.Name, err)
 		}
 		rows[ti] = Table4Row{
 			Team:            team.Name,
-			AvgExecSeconds:  scale * (total / time.Duration(incidentsPerTeam)).Seconds(),
+			AvgExecSeconds:  scale * mean.Seconds(),
 			EnabledHandlers: team.EnabledHandlers,
 			IncidentsRun:    incidentsPerTeam,
 		}
@@ -475,49 +435,31 @@ func meanExecCost(seed int64, scale float64, n int) (time.Duration, error) {
 	cfg := transport.DefaultConfig(seed)
 	cfg.QueryCostScale = scale
 	fleet := transport.NewFleet(cfg)
-	runner := handler.NewRunner(fleet)
-	rng := rand.New(rand.NewSource(seed))
-	cats := transport.Table1Categories()
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		cat := cats[rng.Intn(len(cats))]
-		fault, err := fleet.Inject(cat, rng.Intn(len(fleet.Forests)))
-		if err != nil {
-			return 0, err
-		}
-		alert, ok := fleet.FirstAlert()
-		if !ok {
-			return 0, fmt.Errorf("no alert for %s", cat)
-		}
-		inc := core.IncidentAt(alert, incident.Sev2, "team", i, fleet.Clock().Now())
-		h, err := handler.Builtin(alert.Type)
-		if err != nil {
-			return 0, err
-		}
-		ec := fleet.NewExec(inc.CreatedAt)
-		report, err := runner.RunWith(ec, h, inc)
-		ec.Finish() // merge even on error, matching the ambient path
-		if err != nil {
-			return 0, err
-		}
-		total += report.VirtualCost
-		fault.Repair()
-	}
-	return total / time.Duration(n), nil
+	return driveIncidents(fleet, handler.NewRunner(fleet), rand.New(rand.NewSource(seed)), "team", 0, n, false,
+		func(inc *incident.Incident) (*handler.Handler, error) { return handler.Builtin(inc.Alert.Type) })
 }
 
-// teamRun builds the team's handler inventory (EnabledHandlers variants of
-// the builtin suite registered under team-specific alert types) and
-// measures the mean execution cost over an incident stream.
+// teamRun builds the team's handler inventory and measures the mean
+// execution cost over an incident stream on the team's own fleet.
 func teamRun(seed int64, scale float64, team TeamProfile, n int) (time.Duration, error) {
 	cfg := transport.DefaultConfig(seed)
 	cfg.QueryCostScale = scale
 	fleet := transport.NewFleet(cfg)
 	registry := handler.NewRegistry(nil)
-	// Inventory: variants of the builtin suite up to the published count.
+	if err := installInventory(registry, team); err != nil {
+		return 0, err
+	}
+	return driveIncidents(fleet, handler.NewRunner(fleet), rand.New(rand.NewSource(seed)), team.Name, 0, n, false,
+		func(inc *incident.Incident) (*handler.Handler, error) { return registry.Match(team.Name, inc) })
+}
+
+// installInventory registers the team's handler inventory: EnabledHandlers
+// variants of the builtin suite, those past the suite's size under
+// team-specific alert types.
+func installInventory(registry *handler.Registry, team TeamProfile) error {
 	builtins, err := handler.BuiltinAll()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for i := 0; i < team.EnabledHandlers; i++ {
 		h := builtins[i%len(builtins)].Clone()
@@ -527,19 +469,28 @@ func teamRun(seed int64, scale float64, team TeamProfile, n int) (time.Duration,
 			h.AlertType = incident.AlertType(fmt.Sprintf("%s#%d", h.AlertType, i/len(builtins)))
 		}
 		if _, err := registry.Save(h); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	got, err := registry.EnabledCount(team.Name)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if got != team.EnabledHandlers {
-		return 0, fmt.Errorf("inventory mismatch: %d != %d", got, team.EnabledHandlers)
+		return fmt.Errorf("inventory mismatch: %d != %d", got, team.EnabledHandlers)
 	}
+	return nil
+}
 
-	runner := handler.NewRunner(fleet)
-	rng := rand.New(rand.NewSource(seed))
+// driveIncidents runs n incidents of team through the fleet and returns
+// their mean collection cost. Each incident injects a Table-1 fault drawn
+// from rng, is opened from the fleet's first alert with sequence number
+// seq+i, and runs its matched handler on its own execution context
+// (attributed to team when tenant is set); Finish keeps the fleet clock
+// advancing so successive incidents carry distinct timestamps, and the
+// fault is repaired before the next one.
+func driveIncidents(fleet *transport.Fleet, runner *handler.Runner, rng *rand.Rand, team string, seq, n int, tenant bool,
+	match func(*incident.Incident) (*handler.Handler, error)) (time.Duration, error) {
 	cats := transport.Table1Categories()
 	var total time.Duration
 	for i := 0; i < n; i++ {
@@ -552,15 +503,15 @@ func teamRun(seed int64, scale float64, team TeamProfile, n int) (time.Duration,
 		if !ok {
 			return 0, fmt.Errorf("no alert for %s", cat)
 		}
-		inc := core.IncidentAt(alert, incident.Sev2, team.Name, i, fleet.Clock().Now())
-		h, err := registry.Match(team.Name, inc)
+		inc := core.IncidentAt(alert, incident.Sev2, team, seq+i, fleet.Clock().Now())
+		h, err := match(inc)
 		if err != nil {
 			return 0, err
 		}
-		// Per-run execution context (the unserialized collection path);
-		// Finish keeps the fleet clock advancing so successive incidents
-		// carry distinct timestamps, as the ambient path did.
 		ec := fleet.NewExec(inc.CreatedAt)
+		if tenant {
+			ec = fleet.NewExecTenant(inc.CreatedAt, team)
+		}
 		report, err := runner.RunWith(ec, h, inc)
 		ec.Finish() // merge even on error, matching the ambient path
 		if err != nil {

@@ -285,8 +285,8 @@ func RunPipeline(e *Env, opts PipelineOptions) (*PipelineRun, error) {
 		return nil, err
 	}
 	cfg := e.Config
-	cfg.K, cfg.Alpha, cfg.Context = opts.K, opts.Alpha, opts.Context
-	cop, err := core.New(e.Corpus.Fleet, chat, cfg)
+	cfg.Chat, cfg.K, cfg.Alpha, cfg.Context = chat, opts.K, opts.Alpha, opts.Context
+	cop, err := core.New(e.Corpus.Fleet, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,9 @@ func TestPredictionGolden(t *testing.T) {
 		}
 		// A fresh, uncached client: every summary and prediction runs
 		// through simgpt rather than the shared response cache.
-		cop, err := core.New(e.Corpus.Fleet, simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed}), e.Config)
+		cfg := e.Config
+		cfg.Chat = simgpt.MustNew(simgpt.GPT4, simgpt.Options{Seed: e.Seed})
+		cop, err := core.New(e.Corpus.Fleet, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -284,8 +284,6 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	if len(queries) == 0 {
 		return out, nil
 	}
-	s.batchQueries.Add(int64(len(queries)))
-
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	draining, current := s.liveShards()
@@ -375,7 +373,3 @@ func (s *Sharded) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
 	}
 	return out, nil
 }
-
-// BatchQueries returns how many queries have been served through
-// TopKBatch.
-func (s *Sharded) BatchQueries() int { return int(s.batchQueries.Load()) }

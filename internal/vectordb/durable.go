@@ -63,8 +63,10 @@ type DurableOptions struct {
 	// journaling and the compaction check. Default 50ms.
 	SyncInterval time.Duration
 	// CompactBytes is the log size that triggers an automatic compaction
-	// (snapshot checkpoint + log rotation). 0 defaults to 4 MiB; negative
-	// disables automatic compaction (Compact can still be called).
+	// (snapshot checkpoint + log rotation): the append whose group commit
+	// takes the log past it wakes the background loop, which compacts off
+	// the appender's goroutine. 0 defaults to 4 MiB; negative disables
+	// automatic compaction (Compact can still be called).
 	CompactBytes int64
 }
 
@@ -146,8 +148,11 @@ type Durable struct {
 	stateMu   sync.Mutex
 	lastState tunerState
 
-	stop chan struct{}
-	done chan struct{}
+	// outgrew wakes housekeep once an append has taken the log past
+	// CompactBytes; one pending wake covers any number of appends.
+	outgrew chan struct{}
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 var _ snapshotter = (*Durable)(nil)
@@ -181,6 +186,7 @@ func OpenDurable(dir string, factory func() Index, opts DurableOptions) (*Durabl
 		factory:  factory,
 		opts:     opts,
 		walOpts:  wal.Options{SyncEvery: opts.SyncEvery, SyncInterval: opts.SyncInterval},
+		outgrew:  make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -317,7 +323,29 @@ func (d *Durable) appendRecord(typ byte, payload any) error {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.w.Append(wal.Record{Type: typ, Payload: buf.Bytes()})
+	return d.append(wal.Record{Type: typ, Payload: buf.Bytes()})
+}
+
+// append writes one record to the log and, once the log has outgrown
+// CompactBytes, wakes housekeep to compact it without blocking the
+// appender. The caller holds d.mu for reading.
+func (d *Durable) append(r wal.Record) error {
+	if err := d.w.Append(r); err != nil {
+		return err
+	}
+	if d.outgrown() {
+		select {
+		case d.outgrew <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+// outgrown reports whether the log's durable size has passed
+// CompactBytes. The caller holds d.mu.
+func (d *Durable) outgrown() bool {
+	return d.opts.CompactBytes > 0 && d.w.Bytes() > d.opts.CompactBytes
 }
 
 // logRetrain is the Sharded.OnRetrain observer: it journals the trained
@@ -347,7 +375,7 @@ func (d *Durable) Add(e Entry) error {
 		d.mu.RUnlock()
 		return fmt.Errorf("vectordb: wal encode: %w", err)
 	}
-	err := d.w.Append(wal.Record{Type: walRecEntry, Payload: buf.Bytes()})
+	err := d.append(wal.Record{Type: walRecEntry, Payload: buf.Bytes()})
 	d.mu.RUnlock()
 	return err
 }
@@ -431,8 +459,9 @@ func (d *Durable) compactLocked() error {
 
 // housekeep is the durable layer's background loop: on every
 // SyncInterval tick it journals serving-state changes (the tuner's
-// converged budgets move without touching Add) and triggers compaction
-// once the log outgrows CompactBytes.
+// converged budgets move without touching Add) and compacts a log that
+// outgrew CompactBytes; an append that takes the log past CompactBytes
+// wakes it to compact at once rather than on the next tick.
 func (d *Durable) housekeep() {
 	defer close(d.done)
 	ticker := time.NewTicker(d.opts.SyncInterval)
@@ -443,9 +472,13 @@ func (d *Durable) housekeep() {
 			return
 		case <-ticker.C:
 			d.journalTunerState()
-			if d.opts.CompactBytes > 0 && d.w.Bytes() > d.opts.CompactBytes {
-				_ = d.Compact()
-			}
+		case <-d.outgrew:
+		}
+		d.mu.RLock()
+		due := d.outgrown()
+		d.mu.RUnlock()
+		if due {
+			_ = d.Compact()
 		}
 	}
 }

@@ -315,6 +315,50 @@ func TestDurableCompactionRotates(t *testing.T) {
 	}
 }
 
+// TestDurableCompactsAtByteThreshold: automatic compaction follows
+// CompactBytes, not the housekeeping tick. With a tick an hour away, each
+// round of appends that takes the log past the threshold must be
+// followed by its own compaction, so a fast writer never overshoots the
+// threshold by more than the compaction's own latency.
+func TestDurableCompactsAtByteThreshold(t *testing.T) {
+	const threshold, rounds = 4 << 10, 4
+	d, err := OpenDurable(t.TempDir(), func() Index { return NewIndex(8, Options{Shards: 4}) },
+		DurableOptions{SyncEvery: 1, SyncInterval: time.Hour, CompactBytes: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	n := 0
+	last := d.Stats().LastCompaction
+	for r := 0; r < rounds; r++ {
+		// Append until the log passes the threshold, or until the
+		// compaction its passing woke has already rotated it.
+		for st := d.Stats(); st.LogBytes <= threshold && st.LastCompaction.Equal(last); st = d.Stats() {
+			if err := d.Add(durEntry(n, "")); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for d.Stats().LastCompaction.Equal(last) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: log at %d bytes (threshold %d) never compacted", r, d.Stats().LogBytes, threshold)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		last = d.Stats().LastCompaction
+		if got := d.Stats().LogBytes; got > threshold {
+			t.Fatalf("round %d: log still %d bytes after compaction", r, got)
+		}
+	}
+	if n < rounds*2 {
+		t.Fatalf("only %d appends crossed %d thresholds; entries too large for the test", n, rounds)
+	}
+	if d.Len() != n {
+		t.Fatalf("Len = %d after %d appends", d.Len(), n)
+	}
+}
+
 // TestDurableCrashBetweenSnapshotAndRotation covers the compaction crash
 // window the design leans on idempotent replay for: the new snapshot is
 // in place but the old log was never rotated, so every entry record in

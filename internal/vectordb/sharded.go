@@ -105,8 +105,6 @@ type Sharded struct {
 	rescales  atomic.Int64
 	// quantWG tracks in-flight asynchronous sidecar rescales.
 	quantWG sync.WaitGroup
-	// batchQueries counts queries served through TopKBatch.
-	batchQueries atomic.Int64
 	// savedState carries a loaded serving-state trailer until a tuner
 	// exists to absorb it (Load before EnableAdaptive).
 	savedState atomic.Pointer[tunerState]

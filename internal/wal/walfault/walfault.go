@@ -106,10 +106,3 @@ func (f *File) Bytes() []byte {
 	defer f.mu.Unlock()
 	return append([]byte(nil), f.buf...)
 }
-
-// Syncs returns how many fsyncs were attempted.
-func (f *File) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}

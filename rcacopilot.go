@@ -65,7 +65,6 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/handler"
 	"repro/internal/incident"
-	"repro/internal/llm"
 	"repro/internal/llm/simgpt"
 	"repro/internal/parallel"
 	"repro/internal/prompt"
@@ -123,6 +122,9 @@ type (
 	// RetryItem is one unresolved learn failure's self-heal schedule entry
 	// (see FeedbackLoop.RetrySchedule).
 	RetryItem = feedback.RetryItem
+	// Config parameterizes a System: chat model, embedding, retrieval and
+	// serving store (see core.Config for every field).
+	Config = core.Config
 )
 
 // Feedback verdicts.
@@ -152,111 +154,10 @@ const (
 	PartitionIVF      = core.PartitionIVF
 )
 
-// Config parameterizes a System.
-type Config struct {
-	// Model selects the chat model: ModelGPT4 (default) or ModelGPT35.
-	Model string
-	// Seed drives all stochastic behaviour.
-	Seed int64
-	// K is the number of retrieved demonstrations (default 5).
-	K int
-	// Alpha is the temporal-decay coefficient per day (default 0.3).
-	Alpha float64
-	// Team owns the handlers (default "Transport").
-	Team string
-	// MultiTenant serves each incident's owning team as a tenant over the
-	// shared vector store: learned entries land in the team's namespace,
-	// Predict retrieves demonstrations only from the owning team's own
-	// history, RetrieveTeam scopes free-text reads per tenant, and
-	// collection cost is metered per team. Off (the default), the system
-	// is bit-identical to single-tenant serving.
-	MultiTenant bool
-	// Context selects the prompt context sources (default: summarized
-	// diagnostic information, the paper's best Table-3 row).
-	Context ContextSources
-	// Embedding overrides FastText training parameters.
-	Embedding EmbeddingConfig
-	// Chat overrides the chat model entirely (ignores Model/Seed); use it
-	// to plug a real LLM endpoint into the pipeline.
-	Chat llm.Client
-	// Shards partitions the incident history across this many vector-store
-	// shards with parallel query fan-out. 0 (unset) defaults to
-	// runtime.NumCPU(); an explicit 1 keeps the flat exact store. Retrieval
-	// results are bit-identical either way; sharding changes how the store
-	// scales, not what it returns.
-	Shards int
-	// Partitioner selects shard routing when Shards > 1:
-	// PartitionCategory or PartitionIVF, which trains a coarse quantizer
-	// from the stored vectors after each AddHistory batch. Unset, it is
-	// PartitionIVF when RecallTarget or RetrainSkew is set and
-	// PartitionCategory otherwise.
-	Partitioner string
-	// RecallTarget enables probe-limited approximate serving with an
-	// adaptive probe budget: queries search only the IVF partitions
-	// nearest the query instead of every shard, the store shadows one live
-	// retrieval in twenty with an exact fan-out off the hot path, measures
-	// observed recall@K, and grows/shrinks the probe count to hold this
-	// target (e.g. 0.95) — so one deployment config serves head and tail
-	// queries without hand-tuning. Requires Shards > 1 and the IVF
-	// partitioner; dormant (exact) until the quantizer trains on the first
-	// AddHistory batch. 0 disables, keeping exact fan-out, which is
-	// bit-identical to the flat store.
-	RecallTarget float64
-	// RetrainSkew, when >= 1, retrains the IVF quantizer automatically
-	// (online, rate-limited) once per-shard imbalance or centroid drift
-	// reaches this ratio — so a corpus that grows and drifts as incidents
-	// stream in keeps balanced partitions without anyone scheduling
-	// retrains. Requires Shards > 1 and the IVF partitioner. 0 disables.
-	RetrainSkew float64
-	// Quantized enables the two-stage quantized probe scan: probe-limited
-	// retrievals walk a per-shard int8 sidecar to collect K×4 candidates
-	// (a pool the recall tuner widens when quantization costs recall),
-	// then re-rank exactly against the full-precision vectors — a ~8×
-	// smaller scan footprint per probed shard with the final ranking still
-	// computed at full precision. Requires RecallTarget > 0; exact fan-out
-	// never touches the sidecar.
-	Quantized bool
-	// AsyncLearnQueue, when positive, moves feedback-loop learning off the
-	// hot path: Feedback() verdicts enqueue onto a background ingest
-	// worker with this queue capacity instead of re-summarizing inline.
-	// Call Feedback().Flush() for read-your-writes before querying. 0
-	// keeps the synchronous default.
-	AsyncLearnQueue int
-	// BatchMax, when >= 2, inserts a micro-batching collector in front of
-	// the vector store: concurrent Retrieve calls coalesce into one
-	// scan-once-per-shard batched execution of up to BatchMax queries,
-	// amortizing each shard's memory walk across the batch. Results stay
-	// bit-identical to unbatched serving, and a query arriving on an idle
-	// collector is served immediately (no added latency when there is
-	// nothing to coalesce with; an under-filled batch waits at most 500µs
-	// for companions). 0 or 1 disables batching.
-	BatchMax int
-	// WALDir enables the durable vector store: TrainEmbedding opens a
-	// write-ahead-logged store rooted at this directory, replaying any
-	// previous snapshot + log, so a SIGKILL'd deployment reboots with its
-	// learned history, trained quantizer, converged probe budgets, and
-	// feedback retry schedule intact. Train the embedding from the same
-	// corpus with the same Seed on every boot — the logged vectors belong
-	// to that embedding space. Empty (the default) keeps the in-memory
-	// store.
-	WALDir string
-	// WALSyncEvery is the WAL group-commit size boundary (0 defaults to
-	// 64; 1 fsyncs every learned entry). Requires WALDir.
-	WALSyncEvery int
-	// WALSyncInterval is the WAL group-commit flush cadence for
-	// under-filled batches (0 defaults to 50ms). Requires WALDir.
-	WALSyncInterval time.Duration
-	// WALCompactBytes is the log size that triggers snapshot compaction
-	// and log rotation (0 defaults to 4 MiB; negative disables automatic
-	// compaction). Requires WALDir.
-	WALCompactBytes int64
-}
-
 // System is an assembled RCACopilot deployment over a fleet.
 type System struct {
 	fleet    *Fleet
 	copilot  *core.Copilot
-	cfg      Config
 	loopOnce sync.Once
 	loop     *feedback.Loop
 }
@@ -268,42 +169,11 @@ func NewFleet(seed int64) *Fleet {
 
 // NewSystem assembles RCACopilot over the fleet.
 func NewSystem(fleet *Fleet, cfg Config) (*System, error) {
-	if fleet == nil {
-		return nil, fmt.Errorf("rcacopilot: fleet is required")
-	}
-	chat := cfg.Chat
-	if chat == nil {
-		model := cfg.Model
-		if model == "" {
-			model = ModelGPT4
-		}
-		var err error
-		chat, err = simgpt.New(model, simgpt.Options{Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-	}
-	cop, err := core.New(fleet, chat, core.Config{
-		Team:            cfg.Team,
-		MultiTenant:     cfg.MultiTenant,
-		K:               cfg.K,
-		Alpha:           cfg.Alpha,
-		Context:         cfg.Context,
-		Shards:          cfg.Shards,
-		Partitioner:     cfg.Partitioner,
-		RecallTarget:    cfg.RecallTarget,
-		RetrainSkew:     cfg.RetrainSkew,
-		Quantized:       cfg.Quantized,
-		BatchMax:        cfg.BatchMax,
-		WALDir:          cfg.WALDir,
-		WALSyncEvery:    cfg.WALSyncEvery,
-		WALSyncInterval: cfg.WALSyncInterval,
-		WALCompactBytes: cfg.WALCompactBytes,
-	})
+	cop, err := core.New(fleet, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &System{fleet: fleet, copilot: cop, cfg: cfg}, nil
+	return &System{fleet: fleet, copilot: cop}, nil
 }
 
 // Fleet returns the fleet under diagnosis.
@@ -328,11 +198,7 @@ func (s *System) TrainEmbedding(history []*Incident) error {
 	for _, in := range history {
 		texts = append(texts, in.DiagnosticText())
 	}
-	cfg := s.cfg.Embedding
-	if cfg.Seed == 0 {
-		cfg.Seed = s.cfg.Seed
-	}
-	model, err := fasttext.TrainSkipgram(texts, cfg)
+	model, err := fasttext.TrainSkipgram(texts, s.copilot.Config().Embedding)
 	if err != nil {
 		return err
 	}
@@ -462,10 +328,10 @@ func (s *System) Feedback() *FeedbackLoop {
 				return out
 			})
 		}
-		if s.cfg.AsyncLearnQueue > 0 {
+		if n := s.copilot.Config().AsyncLearnQueue; n > 0 {
 			// Start cannot fail here: the learner is non-nil and the loop
 			// is freshly built.
-			_ = s.loop.StartIngest(s.cfg.AsyncLearnQueue)
+			_ = s.loop.StartIngest(n)
 		}
 	})
 	return s.loop

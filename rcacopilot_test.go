@@ -3,8 +3,12 @@ package rcacopilot
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/llm"
+	"repro/internal/llm/simgpt"
 )
 
 var (
@@ -28,6 +32,57 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(NewFleet(1), Config{Model: "gpt-9"}); err == nil {
 		t.Fatal("unknown model should fail")
+	}
+}
+
+// countingChat is a chat client that counts the completions it serves.
+type countingChat struct {
+	llm.Client
+	calls atomic.Int64
+}
+
+func (c *countingChat) Complete(req llm.Request) (llm.Response, error) {
+	c.calls.Add(1)
+	return c.Client.Complete(req)
+}
+
+// TestNewSystemConfig: the Config a System is built from reaches the
+// pipeline whole. A Chat client serves the completions in place of the
+// simulated Model, and Copilot().Config() reports the Model, Seed and
+// AsyncLearnQueue it was given.
+func TestNewSystemConfig(t *testing.T) {
+	c := sharedCorpus(t)
+	chat := &countingChat{Client: simgpt.MustNew(ModelGPT35, simgpt.Options{Seed: 4})}
+	sys, err := NewSystem(c.Fleet, Config{Chat: chat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if sys.Copilot().Chat() != chat {
+		t.Fatalf("Copilot chats through %v, want the configured client", sys.Copilot().Chat())
+	}
+	if err := sys.Summarize(c.Incidents[0].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if n := chat.calls.Load(); n != 1 {
+		t.Fatalf("configured client served %d completions for one summary, want 1", n)
+	}
+
+	sys, err = NewSystem(NewFleet(1), Config{Model: ModelGPT35, Seed: 7, AsyncLearnQueue: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	got := sys.Copilot().Config()
+	if got.Model != ModelGPT35 || got.Seed != 7 || got.AsyncLearnQueue != 3 {
+		t.Fatalf("Config() = {Model: %q, Seed: %d, AsyncLearnQueue: %d}, want {%q, 7, 3}",
+			got.Model, got.Seed, got.AsyncLearnQueue, ModelGPT35)
+	}
+	if name := got.Chat.Name(); name != ModelGPT35 {
+		t.Fatalf("built chat model %q, want %q", name, ModelGPT35)
+	}
+	if got.Embedding.Seed != 7 {
+		t.Fatalf("Embedding.Seed = %d, want the Seed default 7", got.Embedding.Seed)
 	}
 }
 
