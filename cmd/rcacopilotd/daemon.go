@@ -616,19 +616,21 @@ func (d *daemon) metrics(w http.ResponseWriter, _ *http.Request) {
 
 	loop := d.sys.Feedback()
 	stats := loop.ComputeStats()
-	schedule := loop.RetrySchedule()
-	retry := make([]retryItemJSON, len(schedule))
-	for i, it := range schedule {
+	owed := loop.Failures()
+	retry := make([]retryItemJSON, len(owed))
+	backlog := 0
+	for i, f := range owed {
 		rj := retryItemJSON{
-			IncidentID: it.IncidentID, Reviewer: it.Reviewer,
-			Attempts: it.Attempts, Exhausted: it.Exhausted,
+			IncidentID: f.IncidentID, Reviewer: f.Reviewer,
+			Attempts: f.Attempts, Exhausted: f.Exhausted,
 		}
-		if !it.NextDue.IsZero() {
-			due := it.NextDue
+		if !f.NextDue.IsZero() {
+			due := f.NextDue
 			rj.NextDue = &due
+			backlog++
 		}
-		if it.Err != nil {
-			rj.Error = it.Err.Error()
+		if f.Err != nil {
+			rj.Error = f.Err.Error()
 		}
 		retry[i] = rj
 	}
@@ -638,7 +640,7 @@ func (d *daemon) metrics(w http.ResponseWriter, _ *http.Request) {
 		"corrected":    stats.Corrected,
 		"rejected":     stats.Rejected,
 		"accuracy":     stats.Accuracy(),
-		"retryBacklog": loop.RetryBacklog(),
+		"retryBacklog": backlog,
 		"retryQueue":   retry,
 	}
 

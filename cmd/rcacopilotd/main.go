@@ -27,7 +27,7 @@
 // probe serving (IVF routing is derived), whose live recall/probe state
 // then shows in /metrics. -wal-dir puts a write-ahead log + snapshot
 // under the store: a killed daemon — SIGKILL included — reboots with its
-// learned corpus, converged tuner state and retry schedule, skipping
+// learned corpus, converged tuner state and owed feedback learns, skipping
 // re-ingest, with recovery visible as the /metrics durability gauges.
 //
 //	rcacopilotd -addr :8080 -seed 1 -history 300
@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/embed/fasttext"
-	"repro/internal/feedback"
 	"repro/internal/httpd"
 
 	rcacopilot "repro"
@@ -63,21 +62,20 @@ func main() {
 	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection (K×4 per probed shard, widened by the recall tuner) + exact re-rank (needs -recall-target)")
 	batchMax := flag.Int("batch-max", 0, "micro-batch concurrent retrievals, up to this many per scan-once-per-shard execution (bit-identical results; 0/1 = unbatched)")
 	learnQueue := flag.Int("learn-queue", 64, "async feedback-learn queue depth (0 = learn inline)")
-	retry := flag.Bool("retry", true, "run the learn-failure retry queue")
 	tenants := flag.Bool("tenants", false, "multi-tenant serving: per-team retrieval namespaces, handler fallback, per-tenant cost attribution")
 	rate := flag.Float64("rate", 5, "sustained per-team submissions/second")
 	burst := flag.Float64("burst", 10, "per-team submission burst")
 	queue := flag.Int("queue", 64, "submission queue depth")
 	admitQueue := flag.Int("admit-queue", 0, "severity-weighted admission wait queue at saturation (0 = reject immediately)")
 	grace := flag.Duration("grace", 30*time.Second, "graceful-shutdown budget after SIGTERM")
-	walDir := flag.String("wal-dir", "", "durable vector store directory: write-ahead log + snapshot; a killed daemon reboots with its learned corpus, tuner state and retry schedule (empty = in-memory)")
+	walDir := flag.String("wal-dir", "", "durable vector store directory: write-ahead log + snapshot; a killed daemon reboots with its learned corpus, tuner state and owed feedback learns (empty = in-memory)")
 	walSyncEvery := flag.Int("wal-sync-every", 0, "WAL group-commit size boundary (0 = 64; 1 = fsync every learn; needs -wal-dir)")
 	walSyncInterval := flag.Duration("wal-sync-interval", 0, "WAL group-commit flush cadence (0 = 50ms; needs -wal-dir)")
 	walCompactBytes := flag.Int64("wal-compact-bytes", 0, "log size triggering snapshot compaction + rotation (0 = 4MiB, negative = never; needs -wal-dir)")
 	flag.Parse()
 
 	if err := run(config{
-		addr: *addr, days: *days, history: *history, retry: *retry,
+		addr: *addr, days: *days, history: *history,
 		rate: *rate, burst: *burst, queue: *queue, admitQueue: *admitQueue, grace: *grace,
 		sys: rcacopilot.Config{
 			Model: *model, Seed: *seed, Shards: *shards,
@@ -97,7 +95,6 @@ func main() {
 type config struct {
 	addr          string
 	days, history int
-	retry         bool
 	rate, burst   float64
 	queue         int
 	admitQueue    int
@@ -153,10 +150,8 @@ func run(c config) error {
 		return err
 	}
 	loaded := time.Since(start)
-	if c.retry {
-		if err := sys.Feedback().StartRetry(feedback.RetryConfig{}); err != nil {
-			return err
-		}
+	if err := sys.Feedback().StartRetry(); err != nil {
+		return err
 	}
 
 	d := newDaemon(sys, httpd.LimitConfig{Rate: c.rate, Burst: c.burst, QueueDepth: c.admitQueue}, c.queue)

@@ -34,33 +34,34 @@
 // surfaces any async learn errors), so a submitting OCE who wants their
 // confirmation reflected in the next retrieval calls Flush first.
 //
-// # Async error surfacing
+// # Owed learns
 //
-// A background learn that fails must reach the OCE who submitted the
-// verdict — not just whoever happens to Flush next. Every failed async
-// learn is therefore recorded on the loop as a Failure (incident,
-// reviewer, error, time), queryable via Failures/FailureFor without any
-// Flush, and pushed through the optional SetNotifier hook the moment it
-// happens — the notification path a deployment wires to the same email
-// mechanism the incident reports use (report.RenderLearnFailure renders
-// the message body). Flush still aggregates and clears the pending error
-// list for read-your-writes callers; the Failure record persists until
-// the same incident later learns successfully.
+// A confirm or correct verdict whose learn fails leaves the loop owing
+// that learn. The loop keeps one record per owed learn, a Failure
+// (incident, reviewer, error, time, attempts, next redrive, exhaustion),
+// and Failures is its one view: it needs no Flush, and a record stands
+// until the same incident learns successfully. A deferred (async) failure
+// is also pushed through the optional SetNotifier hook the moment it
+// happens, the path a deployment wires to the email channel incident
+// reports use (report.RenderLearnFailure renders the body); an inline
+// failure returns to the submitter as Submit's error. Flush still
+// aggregates and clears the async errors for read-your-writes callers.
 //
-// # Learn-failure retry queue
+// StartRetry redrives owed learns without the OCE resubmitting, so a
+// transient embedder outage heals once the dependency recovers. The first
+// redrive is due 30 s after the failure, each further one doubles the
+// delay up to a 10 min cap, and each delay gains up to 25% deterministic
+// per-incident jitter so one outage's failures do not redrive in
+// lockstep. After 8 attempts (the original learn counts as the first) the
+// record is exhausted: it stands, but no further redrives are spent on it
+// until a resubmitted verdict replaces it. A background worker polls the
+// schedule every 15 s off the loop's injectable clock (SetClock);
+// RedriveDue is the explicit pump for tests and simulations.
 //
-// Recording and notifying a failure still leaves the learn undone until
-// the OCE resubmits. StartRetry closes that gap: every recorded Failure
-// keeps its learn task and is redriven automatically with exponential
-// backoff (doubling from a base delay up to a cap, plus deterministic
-// per-incident jitter so an outage's failures don't redrive in lockstep),
-// so a transient embedder outage self-heals once the dependency
-// recovers. A successful redrive clears the Failure exactly as a
-// resubmitted verdict would; after a bounded number of attempts the
-// failure stops consuming learner calls and stands until manually
-// resubmitted. The schedule runs off the loop's injectable clock
-// (SetClock), with RedriveDue as the explicit pump for tests and
-// simulations.
+// AttachJournal makes owed learns durable: every change to an owed learn
+// is logged to a Journal (the durable vector store's WAL sidecar), a
+// restarted loop adopts what the log owes, and a log rotation re-logs the
+// live set.
 package feedback
 
 import (
@@ -105,25 +106,60 @@ type Learner interface {
 	Learn(inc *incident.Incident) error
 }
 
-// Failure records one failed background learn: enough for a notification
-// to reach the OCE who submitted the verdict without anyone calling
-// Flush.
+// Failure is one owed learn: a confirm or correct verdict whose learn
+// into the incident history failed and has not succeeded since. It
+// carries enough for a notification to reach the OCE who submitted the
+// verdict, and the redrive schedule a dashboard shows beside it.
 type Failure struct {
 	// IncidentID identifies the incident whose learn failed.
 	IncidentID string
 	// Reviewer is the OCE who submitted the verdict that queued the learn.
 	Reviewer string
-	// Err is the learn error.
+	// Err is the most recent learn error.
 	Err error
-	// At is when the failure was recorded.
+	// At is when the failure was last recorded.
 	At time.Time
+	// Attempts counts learn attempts so far; the original failed learn
+	// is attempt 1.
+	Attempts int
+	// NextDue is when the next redrive fires per the loop's clock; zero
+	// while retrying is off (StartRetry) or once exhausted.
+	NextDue time.Time
+	// Exhausted reports that the attempts ran out: the record stands
+	// until the OCE resubmits, and no further redrives are spent on it.
+	Exhausted bool
 }
+
+// The owed-learn redrive schedule (StartRetry).
+const (
+	// retryBase is the delay before the first redrive; each further
+	// redrive doubles it.
+	retryBase = 30 * time.Second
+	// retryCap bounds the doubled delay.
+	retryCap = 10 * time.Minute
+	// retryMaxAttempts bounds learn attempts per owed learn, the original
+	// failed learn included.
+	retryMaxAttempts = 8
+	// retryPoll is how often the background worker checks for due
+	// redrives.
+	retryPoll = 15 * time.Second
+)
 
 // learnTask is one queued background learn, carrying the submitting
 // reviewer so a failure can be attributed back to them.
 type learnTask struct {
 	inc      *incident.Incident
 	reviewer string
+}
+
+// owedLearn is the loop's record of one owed learn: its public Failure
+// and the labelled incident a redrive learns.
+type owedLearn struct {
+	Failure
+	inc *incident.Incident
+	// inflight marks a redrive in progress, so overlapping RedriveDue
+	// calls never double-learn one incident.
+	inflight bool
 }
 
 // Loop records feedback and feeds confirmed/corrected incidents back into
@@ -148,87 +184,32 @@ type Loop struct {
 		pending int
 		errs    []error
 		granted int
-		// failures holds the latest unresolved Failure per incident; a
-		// later successful learn for the incident clears it.
-		failures map[string]Failure
-		notify   func(Failure)
-		// retry holds the redrive schedule per failed incident (nil map =
-		// retrying off); guarded by the same mutex as failures.
-		retry     map[string]*retryState
-		retryCfg  RetryConfig
+		// owed holds the owed learn per incident; a later successful
+		// learn for the incident deletes it.
+		owed   map[string]*owedLearn
+		notify func(Failure)
+		// retryOn is set between StartRetry and Close.
 		retryOn   bool
 		retryStop chan struct{}
 		retryDone chan struct{}
-		// journal, when set, receives every retry-schedule transition for
-		// durable logging (SetRetryJournal); invoked outside ig.mu.
-		journal func(RetryTransition)
+		// journal, when attached (AttachJournal), logs every owed-learn
+		// change; appended to outside ig.mu.
+		journal Journal
 	}
-}
-
-// retryState schedules one failed learn's redrives.
-type retryState struct {
-	task learnTask
-	// attempts counts learn attempts made so far (the original failed
-	// learn is attempt 1).
-	attempts int
-	// next is when the next redrive is due, per the loop's clock; zero
-	// while retrying is off (scheduled lazily by StartRetry).
-	next time.Time
-	// inflight marks a redrive in progress, so overlapping RedriveDue
-	// calls never double-learn one incident.
-	inflight bool
-	// exhausted marks a failure whose MaxAttempts ran out: the record is
-	// kept (so dashboards still see the attempt count) but never
-	// rescheduled, not even by a fresh StartRetry.
-	exhausted bool
-}
-
-// RetryConfig parameterizes the learn-failure retry queue (StartRetry).
-type RetryConfig struct {
-	// Base is the delay before the first redrive; subsequent redrives
-	// double it. Default 30 s.
-	Base time.Duration
-	// Cap bounds the exponential backoff. Default 10 min.
-	Cap time.Duration
-	// MaxAttempts bounds total learn attempts per failure (the original
-	// failed learn counts as the first); once exhausted, the Failure
-	// record stands until the OCE resubmits. Default 8; negative means
-	// unlimited.
-	MaxAttempts int
-	// Poll is how often the background worker checks for due redrives.
-	// Default Base/2. Tests that drive a fake clock skip the worker and
-	// call RedriveDue directly instead.
-	Poll time.Duration
-}
-
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.Base <= 0 {
-		c.Base = 30 * time.Second
-	}
-	if c.Cap <= 0 {
-		c.Cap = 10 * time.Minute
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 8
-	}
-	if c.Poll <= 0 {
-		c.Poll = c.Base / 2
-	}
-	return c
 }
 
 // backoffDelay returns the delay before attempt n+1 given n attempts so
-// far: Base doubled per extra attempt, capped, plus up to 25% of
-// deterministic jitter derived from (incident, attempt) — so a burst of
-// failures from one embedder outage doesn't redrive in lockstep, and
-// tests get reproducible schedules.
-func (c RetryConfig) backoffDelay(incidentID string, attempts int) time.Duration {
-	d := c.Base
-	for i := 1; i < attempts && d < c.Cap; i++ {
+// far: retryBase doubled per extra attempt, capped at retryCap, plus up
+// to 25% of deterministic jitter derived from (incident, attempt), so a
+// burst of failures from one embedder outage doesn't redrive in lockstep
+// and tests get reproducible schedules.
+func backoffDelay(incidentID string, attempts int) time.Duration {
+	d := retryBase
+	for i := 1; i < attempts && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > c.Cap {
-		d = c.Cap
+	if d > retryCap {
+		d = retryCap
 	}
 	h := fnv.New32a()
 	fmt.Fprintf(h, "%s/%d", incidentID, attempts)
@@ -243,7 +224,9 @@ func New(store *kvstore.Store, learner Learner) *Loop {
 	if store == nil {
 		store = kvstore.New()
 	}
-	return &Loop{store: store, learner: learner, clock: time.Now}
+	l := &Loop{store: store, learner: learner, clock: time.Now}
+	l.ingest.owed = make(map[string]*owedLearn)
+	return l
 }
 
 // SetClock overrides the timestamp source (tests, simulations). The
@@ -345,53 +328,45 @@ func (l *Loop) learnOrEnqueue(task learnTask) error {
 	}
 }
 
-// learnAndRecord runs one learn and maintains the per-incident Failure
-// record: an error is stored (and, for deferred learns, pushed through
-// the notifier — inline failures already reach the submitter as a return
-// value); success clears any stale failure for the incident. Every
-// recorded failure also keeps its learn task, so the retry queue
-// (StartRetry) can redrive it without the OCE resubmitting.
+// learnAndRecord runs one learn and maintains the incident's owed-learn
+// record: a failure records (or replaces) it, journals it and, for
+// deferred learns, pushes it through the notifier (inline failures
+// already reach the submitter as a return value); success deletes any
+// record for the incident.
 func (l *Loop) learnAndRecord(task learnTask, deferred bool) error {
 	err := l.learner.Learn(task.inc)
 	ig := &l.ingest
+	id := task.inc.ID
 	ig.mu.Lock()
-	if err != nil {
-		f := Failure{IncidentID: task.inc.ID, Reviewer: task.reviewer, Err: err, At: l.now()}
-		if ig.failures == nil {
-			ig.failures = make(map[string]Failure)
+	if err == nil {
+		// Only a learn that settles an owed one is worth journaling; the
+		// common clean-success path is not.
+		_, wasOwed := ig.owed[id]
+		if !wasOwed {
+			ig.mu.Unlock()
+			return nil
 		}
-		ig.failures[task.inc.ID] = f
-		if ig.retry == nil {
-			ig.retry = make(map[string]*retryState)
-		}
-		st := &retryState{task: task, attempts: 1}
-		if ig.retryOn {
-			st.next = f.At.Add(ig.retryCfg.backoffDelay(task.inc.ID, st.attempts))
-		}
-		ig.retry[task.inc.ID] = st
-		notify := ig.notify
-		journal := l.journalCapture(failedTransition(f, st))
+		delete(ig.owed, id)
+		t, j := clearedTransition(id, task.reviewer, l.now()), ig.journal
 		ig.mu.Unlock()
-		journal()
-		if deferred && notify != nil {
-			notify(f)
-		}
-		return err
+		appendTransition(j, t)
+		return nil
 	}
-	// Only a learn that resolves a recorded failure is a schedule
-	// transition worth journaling; the common clean-success path is not.
-	_, hadFailure := ig.failures[task.inc.ID]
-	delete(ig.failures, task.inc.ID)
-	delete(ig.retry, task.inc.ID)
-	var journal func()
-	if hadFailure {
-		journal = l.journalCapture(clearedTransition(task.inc.ID, task.reviewer, l.now()))
+	o := &owedLearn{
+		Failure: Failure{IncidentID: id, Reviewer: task.reviewer, Err: err, At: l.now(), Attempts: 1},
+		inc:     task.inc,
 	}
+	if ig.retryOn {
+		o.NextDue = o.At.Add(backoffDelay(id, o.Attempts))
+	}
+	ig.owed[id] = o
+	f, t, j, notify := o.Failure, o.transition(), ig.journal, ig.notify
 	ig.mu.Unlock()
-	if journal != nil {
-		journal()
+	appendTransition(j, t)
+	if deferred && notify != nil {
+		notify(f)
 	}
-	return nil
+	return err
 }
 
 // StartIngest starts the background learn worker with the given queue
@@ -445,7 +420,7 @@ func (l *Loop) ingestWorker(queue <-chan learnTask, done chan<- struct{}) {
 // routes the failure back to the submitting OCE — typically by sending
 // report.RenderLearnFailure's text through the same channel that carries
 // incident notifications. A nil notifier (the default) leaves failures
-// queryable via Failures/FailureFor only.
+// queryable via Failures only.
 func (l *Loop) SetNotifier(fn func(Failure)) {
 	ig := &l.ingest
 	ig.mu.Lock()
@@ -453,83 +428,71 @@ func (l *Loop) SetNotifier(fn func(Failure)) {
 	ig.mu.Unlock()
 }
 
-// Failures returns every unresolved learn failure, ordered by incident
-// ID. Unlike Flush's error aggregate this does not clear: a failure
-// stands until the same incident learns successfully (e.g. after the OCE
-// resubmits the verdict).
+// Failures returns every owed learn, ordered by incident ID. Unlike
+// Flush's error aggregate this does not clear: a record stands until the
+// same incident learns successfully, by redrive or resubmitted verdict.
 func (l *Loop) Failures() []Failure {
 	ig := &l.ingest
 	ig.mu.Lock()
-	out := make([]Failure, 0, len(ig.failures))
-	for _, f := range ig.failures {
-		out = append(out, f)
+	out := make([]Failure, 0, len(ig.owed))
+	for _, o := range ig.owed {
+		out = append(out, o.Failure)
 	}
 	ig.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].IncidentID < out[j].IncidentID })
 	return out
 }
 
-// FailureFor returns the unresolved learn failure for an incident, if
-// any — the per-incident view an incident report embeds.
-func (l *Loop) FailureFor(incidentID string) (Failure, bool) {
-	ig := &l.ingest
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	f, ok := ig.failures[incidentID]
-	return f, ok
-}
-
-// StartRetry starts the learn-failure retry queue: recorded Failures —
-// including those recorded before the call — are redriven automatically
-// with exponential backoff (doubling from cfg.Base up to cfg.Cap, plus
-// deterministic per-incident jitter), so a transient embedder outage
-// self-heals without every OCE resubmitting their verdict. A successful
-// redrive clears the Failure exactly as a resubmitted learn would; after
-// cfg.MaxAttempts total attempts the failure stops redriving and stands
-// until the OCE resubmits. A background worker polls the schedule every
-// cfg.Poll; deployments driving a simulated clock (SetClock) can skip the
-// worker's cadence and call RedriveDue directly. Stopped by Close.
-func (l *Loop) StartRetry(cfg RetryConfig) error {
+// StartRetry starts redriving owed learns, those recorded before the call
+// included, on the schedule the package doc states, so a transient
+// embedder outage heals without every OCE resubmitting their verdict. A
+// background worker polls the schedule; deployments driving a simulated
+// clock (SetClock) can call RedriveDue directly instead. Stopped by
+// Close.
+func (l *Loop) StartRetry() error {
 	if l.learner == nil {
 		return fmt.Errorf("feedback: StartRetry on a record-only loop (no learner)")
 	}
-	cfg = cfg.withDefaults()
 	ig := &l.ingest
 	ig.mu.Lock()
 	if ig.retryOn {
 		ig.mu.Unlock()
 		return fmt.Errorf("feedback: retry already started")
 	}
-	ig.retryCfg = cfg
 	ig.retryOn = true
-	// Failures recorded before retry was on have no schedule yet: their
-	// first redrive is due one backoff from now. Journal the assigned due
-	// times so they survive a crash before the next transition.
-	now := l.now()
-	var journals []func()
-	for id, st := range ig.retry {
-		if st.next.IsZero() && !st.exhausted {
-			st.next = now.Add(cfg.backoffDelay(id, st.attempts))
-			if f, ok := ig.failures[id]; ok && st.task.inc != nil {
-				journals = append(journals, l.journalCapture(failedTransition(f, st)))
-			}
-		}
-	}
+	// Owed learns recorded before retry was on have no schedule yet: the
+	// first redrive is due one backoff from now. Journal the due times so
+	// they survive a crash before the next change.
+	ts := l.scheduleLocked(l.now())
 	ig.retryStop = make(chan struct{})
 	ig.retryDone = make(chan struct{})
-	stop, done := ig.retryStop, ig.retryDone
+	stop, done, j := ig.retryStop, ig.retryDone, ig.journal
 	ig.mu.Unlock()
-	for _, j := range journals {
-		j()
+	for _, t := range ts {
+		appendTransition(j, t)
 	}
-	go l.retryWorker(cfg.Poll, stop, done)
+	go l.retryWorker(stop, done)
 	return nil
 }
 
+// scheduleLocked gives every unscheduled, unexhausted owed learn its next
+// redrive from now and returns their transitions. Caller holds ig.mu
+// with retrying on.
+func (l *Loop) scheduleLocked(now time.Time) []retryTransition {
+	var ts []retryTransition
+	for id, o := range l.ingest.owed {
+		if o.NextDue.IsZero() && !o.Exhausted {
+			o.NextDue = now.Add(backoffDelay(id, o.Attempts))
+			ts = append(ts, o.transition())
+		}
+	}
+	return ts
+}
+
 // retryWorker polls the redrive schedule until Close.
-func (l *Loop) retryWorker(poll time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func (l *Loop) retryWorker(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(poll)
+	ticker := time.NewTicker(retryPoll)
 	defer ticker.Stop()
 	for {
 		select {
@@ -541,13 +504,13 @@ func (l *Loop) retryWorker(poll time.Duration, stop <-chan struct{}, done chan<-
 	}
 }
 
-// RedriveDue redrives every recorded failure whose backoff has elapsed
-// per the loop's clock and returns how many learns were attempted. On
-// another failure the attempt count and Failure record update and the
-// next redrive backs off further (no notification — the OCE was told
-// when the failure was recorded); on success the failure clears exactly
-// as a resubmitted learn would. The background StartRetry worker calls
-// this on its poll cadence; tests drive it directly against SetClock.
+// RedriveDue redrives every owed learn whose backoff has elapsed per the
+// loop's clock and returns how many learns were attempted. On another
+// failure the record's attempts, error and time update and the next
+// redrive backs off further (no notification — the OCE was told when the
+// failure was recorded); on success the record is deleted exactly as a
+// resubmitted learn would delete it. The StartRetry worker calls this on
+// its poll cadence; tests drive it directly against SetClock.
 func (l *Loop) RedriveDue() int {
 	ig := &l.ingest
 	now := l.now()
@@ -556,130 +519,65 @@ func (l *Loop) RedriveDue() int {
 		ig.mu.Unlock()
 		return 0
 	}
-	cfg := ig.retryCfg
-	var due []*retryState
-	for _, st := range ig.retry {
-		if !st.inflight && !st.next.IsZero() && !st.next.After(now) {
-			st.inflight = true
-			due = append(due, st)
+	var due []*owedLearn
+	for _, o := range ig.owed {
+		if !o.inflight && !o.NextDue.IsZero() && !o.NextDue.After(now) {
+			o.inflight = true
+			due = append(due, o)
 		}
 	}
 	ig.mu.Unlock()
 	// Deterministic redrive order for tests and logs.
-	sort.Slice(due, func(i, j int) bool { return due[i].task.inc.ID < due[j].task.inc.ID })
+	sort.Slice(due, func(i, j int) bool { return due[i].IncidentID < due[j].IncidentID })
 
-	for _, st := range due {
-		err := l.learner.Learn(st.task.inc)
-		id := st.task.inc.ID
+	for _, o := range due {
+		// Learn a copy: the learner may write to its incident (core.Learn
+		// stores the summary it makes), while the journal encodes o.inc
+		// outside ig.mu.
+		err := l.learner.Learn(o.inc.Clone())
+		id := o.IncidentID
 		ig.mu.Lock()
-		st.inflight = false
-		if cur, ok := ig.retry[id]; !ok || cur != st {
+		o.inflight = false
+		if ig.owed[id] != o {
 			// While this redrive ran, a concurrent Submit for the same
-			// incident recorded a newer verdict's outcome (replacing the
-			// schedule) or learned successfully (clearing it). The newer
-			// state owns the incident's failure record and backoff — this
-			// redrive's stale result must not clobber or clear it.
+			// incident recorded a newer verdict's failure (replacing the
+			// record) or learned successfully (deleting it). The newer
+			// outcome owns the incident — this redrive's stale result
+			// must not clobber or clear it.
 			ig.mu.Unlock()
 			continue
 		}
+		var t retryTransition
 		if err == nil {
-			delete(ig.failures, id)
-			delete(ig.retry, id)
-			journal := l.journalCapture(clearedTransition(id, st.task.reviewer, l.now()))
-			ig.mu.Unlock()
-			journal()
-			continue
-		}
-		st.attempts++
-		f := Failure{IncidentID: id, Reviewer: st.task.reviewer, Err: err, At: l.now()}
-		ig.failures[id] = f
-		if cfg.MaxAttempts >= 0 && st.attempts >= cfg.MaxAttempts {
-			// Exhausted: the Failure record stands, but the queue stops
-			// spending learner calls on it. The schedule entry is kept —
-			// unschedulable — so RetrySchedule still reports the attempt
-			// count; a resubmitted verdict replaces it with a fresh state.
-			st.next = time.Time{}
-			st.exhausted = true
+			delete(ig.owed, id)
+			t = clearedTransition(id, o.Reviewer, l.now())
 		} else {
-			st.next = l.now().Add(cfg.backoffDelay(id, st.attempts))
+			o.Attempts++
+			o.Err, o.At = err, l.now()
+			if o.Attempts >= retryMaxAttempts {
+				// Exhausted: the record stands so dashboards still see
+				// it, but no further learner calls are spent on it; a
+				// resubmitted verdict replaces it with a fresh record.
+				o.NextDue = time.Time{}
+				o.Exhausted = true
+			} else {
+				o.NextDue = o.At.Add(backoffDelay(id, o.Attempts))
+			}
+			t = o.transition()
 		}
-		journal := l.journalCapture(failedTransition(f, st))
+		j := ig.journal
 		ig.mu.Unlock()
-		journal()
+		appendTransition(j, t)
 	}
 	return len(due)
-}
-
-// RetryBacklog returns how many failures currently await a redrive.
-func (l *Loop) RetryBacklog() int {
-	ig := &l.ingest
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	if !ig.retryOn {
-		return 0
-	}
-	n := 0
-	for _, st := range ig.retry {
-		if !st.next.IsZero() {
-			n++
-		}
-	}
-	return n
-}
-
-// RetryItem is the observable state of one unresolved learn failure's
-// self-heal schedule: how many learn attempts have been spent and when the
-// next redrive is due — what an OCE dashboard shows next to the Failure
-// list.
-type RetryItem struct {
-	// IncidentID identifies the incident whose learn keeps failing.
-	IncidentID string
-	// Reviewer is the OCE whose verdict queued the learn.
-	Reviewer string
-	// Attempts counts learn attempts made so far (the original failed
-	// learn is attempt 1). 0 when the failure predates the retry queue's
-	// task tracking (it then has no schedule entry).
-	Attempts int
-	// NextDue is when the next redrive fires per the loop's clock; zero
-	// while retrying is off or the failure is exhausted.
-	NextDue time.Time
-	// Exhausted reports that MaxAttempts ran out: the failure stands until
-	// the OCE resubmits, and no further redrives will be spent on it.
-	Exhausted bool
-	// Err is the most recent learn error.
-	Err error
-	// At is when the failure was last recorded.
-	At time.Time
-}
-
-// RetrySchedule returns one RetryItem per unresolved learn failure,
-// ordered by incident ID — the retry queue's full observable state,
-// exported alongside RetryBacklog through report.RenderRetryQueue and the
-// serving daemon's /metrics.
-func (l *Loop) RetrySchedule() []RetryItem {
-	ig := &l.ingest
-	ig.mu.Lock()
-	out := make([]RetryItem, 0, len(ig.failures))
-	for id, f := range ig.failures {
-		it := RetryItem{IncidentID: id, Reviewer: f.Reviewer, Err: f.Err, At: f.At}
-		if st, ok := ig.retry[id]; ok {
-			it.Attempts = st.attempts
-			it.NextDue = st.next
-			it.Exhausted = st.exhausted
-		}
-		out = append(out, it)
-	}
-	ig.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].IncidentID < out[j].IncidentID })
-	return out
 }
 
 // Flush blocks until every learn submitted before the call has been
 // applied — the read-your-writes barrier for a submitting OCE — and
 // returns (and clears) any errors the background learns accumulated. With
 // ingest off it returns nil immediately: the synchronous path has no
-// deferred work. The per-incident Failure records survive a Flush; only
-// the aggregate clears.
+// deferred work. The owed-learn records survive a Flush; only the
+// aggregate clears.
 func (l *Loop) Flush() error {
 	ig := &l.ingest
 	ig.mu.Lock()

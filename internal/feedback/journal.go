@@ -5,166 +5,188 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/incident"
 )
 
-// RetryTransition is one durable state change of the learn-failure retry
-// queue — the unit the serving layer journals to its write-ahead log so a
-// crashed process resumes redriving exactly the failures it owed, with
-// their backoff positions, instead of forgetting them. Two shapes:
+// Journal is the durable log owed learns ride on: opaque sidecar records
+// in a write-ahead log. *vectordb.Durable satisfies it.
+type Journal interface {
+	// AppendRetry logs one encoded owed-learn change.
+	AppendRetry(payload []byte) error
+	// RetryRecords returns the changes replayed when the log was opened,
+	// in log order.
+	RetryRecords() [][]byte
+	// SetRetrySnapshot installs what a log rotation re-logs into the
+	// fresh log: one record per live owed learn.
+	SetRetrySnapshot(fn func() [][]byte)
+}
+
+// AttachJournal makes j the loop's durable record of owed learns. It
+// adopts the owed learns j's log replayed (applied in log order, last
+// change per incident wins), except those the loop already owes: the
+// loop's own record is newer. It then logs every owed learn the loop
+// held, so the log agrees with the loop, logs every later change as it
+// happens, and has j's log rotation re-log the live set. Attach again
+// when the store behind j is reopened (an embedder swap reopens it): the
+// loop keeps its owed learns across the swap, and a restart finds them.
 //
-//   - Cleared: the incident's learn finally succeeded (redrive or
-//     resubmit); any restored schedule entry for it is dropped.
+// Changes are appended outside the loop's locks (an append may take the
+// log's own locks), so changes to different incidents may reach the log
+// slightly out of order; per incident the redrive's inflight guard
+// serializes them, so last-change-wins restore holds either way. A failed
+// append leaves the in-memory record authoritative; the log reports its
+// own health (vectordb.Durable's Stats().Err).
+func (l *Loop) AttachJournal(j Journal) {
+	logged := make(map[string]*owedLearn)
+	for _, p := range j.RetryRecords() {
+		t, err := decodeTransition(p)
+		if err != nil {
+			// The frame checksum verified, so this is a schema drift
+			// across versions, not crash damage; dropping one owed learn
+			// only costs a resubmit.
+			continue
+		}
+		switch {
+		case t.Cleared:
+			delete(logged, t.IncidentID)
+		case t.Incident != nil && t.IncidentID != "":
+			logged[t.IncidentID] = t.owed()
+		}
+	}
+	ig := &l.ingest
+	ig.mu.Lock()
+	ts := l.transitionsLocked()
+	for id, o := range logged {
+		if _, ok := ig.owed[id]; !ok {
+			ig.owed[id] = o
+		}
+	}
+	if ig.retryOn {
+		ts = append(ts, l.scheduleLocked(l.now())...)
+	}
+	ig.journal = j
+	ig.mu.Unlock()
+	for _, t := range ts {
+		appendTransition(j, t)
+	}
+	j.SetRetrySnapshot(l.snapshot)
+}
+
+// snapshot encodes one transition per owed learn, ordered by incident ID:
+// what a log rotation re-logs so it never forgets the owed set.
+func (l *Loop) snapshot() [][]byte {
+	l.ingest.mu.Lock()
+	ts := l.transitionsLocked()
+	l.ingest.mu.Unlock()
+	sort.Slice(ts, func(i, j int) bool { return ts[i].IncidentID < ts[j].IncidentID })
+	out := make([][]byte, 0, len(ts))
+	for _, t := range ts {
+		if p, err := t.encode(); err == nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// transitionsLocked returns one transition per owed learn. Caller holds
+// ig.mu.
+func (l *Loop) transitionsLocked() []retryTransition {
+	ts := make([]retryTransition, 0, len(l.ingest.owed))
+	for _, o := range l.ingest.owed {
+		ts = append(ts, o.transition())
+	}
+	return ts
+}
+
+// appendTransition logs t to j; a nil j (no journal attached) logs
+// nothing.
+func appendTransition(j Journal, t retryTransition) {
+	if j == nil {
+		return
+	}
+	if p, err := t.encode(); err == nil {
+		_ = j.AppendRetry(p)
+	}
+}
+
+// retryTransition is the wire form of one owed-learn change, gob-encoded
+// into the journal. Its field names and types are the log format: logs
+// already written restore only while they stay as they are. Two shapes:
+//
+//   - Cleared: the incident's learn succeeded (redrive or resubmit); a
+//     restore drops any owed learn for it.
 //   - Not cleared: the incident's learn failed (again); the carried
-//     Incident, attempt count and due time reconstruct the schedule
-//     entry on restore.
-type RetryTransition struct {
-	// IncidentID identifies the incident whose schedule changed.
+//     Incident, attempts and due time rebuild the owed learn on restore.
+type retryTransition struct {
 	IncidentID string
-	// Reviewer is the OCE whose verdict queued the learn.
-	Reviewer string
-	// Attempts is the learn attempts spent so far.
-	Attempts int
-	// NextDue is when the next redrive fires; zero when exhausted,
-	// cleared, or retrying is off.
-	NextDue time.Time
-	// Exhausted marks a failure whose MaxAttempts ran out.
+	Reviewer   string
+	Attempts   int
+	// NextDue is zero when exhausted, cleared, or retrying is off.
+	NextDue   time.Time
 	Exhausted bool
-	// Cleared marks a successful learn: the schedule entry is gone.
-	Cleared bool
-	// Err is the learn error text (errors don't gob-encode; the restored
-	// Failure wraps this string).
+	Cleared   bool
+	// Err is the learn error's text (errors don't gob-encode; the
+	// restored Failure wraps this string).
 	Err string
-	// At is when the transition was recorded, per the loop's clock.
-	At time.Time
-	// Incident is the labelled incident the failed learn retries — nil on
+	At  time.Time
+	// Incident is the labelled incident the owed learn redrives; nil on
 	// Cleared transitions.
 	Incident *incident.Incident
 }
 
-// Encode serializes the transition for an opaque WAL sidecar record.
-func (t RetryTransition) Encode() ([]byte, error) {
+func (t retryTransition) encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
-		return nil, fmt.Errorf("feedback: encode retry transition: %w", err)
+		return nil, fmt.Errorf("feedback: encode owed learn: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodeRetryTransition is Encode's inverse.
-func DecodeRetryTransition(p []byte) (RetryTransition, error) {
-	var t RetryTransition
+func decodeTransition(p []byte) (retryTransition, error) {
+	var t retryTransition
 	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&t); err != nil {
-		return RetryTransition{}, fmt.Errorf("feedback: decode retry transition: %w", err)
+		return retryTransition{}, fmt.Errorf("feedback: decode owed learn: %w", err)
 	}
 	return t, nil
 }
 
-// SetRetryJournal installs the durability hook: every retry-schedule
-// transition — failure recorded, redrive failed again, exhausted, learn
-// succeeded — is handed to fn as it happens. The hook runs OUTSIDE the
-// loop's locks (it may itself take locks, e.g. a WAL append), so under
-// concurrent submits and redrives transitions for DIFFERENT incidents may
-// reach the journal slightly out of order; per incident the inflight
-// guard serializes them. RestoreRetrySchedule applies a journal in log
-// order, so last-write-wins per incident holds either way. Nil
-// uninstalls.
-func (l *Loop) SetRetryJournal(fn func(RetryTransition)) {
-	ig := &l.ingest
-	ig.mu.Lock()
-	ig.journal = fn
-	ig.mu.Unlock()
-}
-
-// journalCapture snapshots the hook and builds the transition under
-// ig.mu; the caller invokes the returned closure AFTER unlocking.
-func (l *Loop) journalCapture(t RetryTransition) func() {
-	if l.ingest.journal == nil {
-		return func() {}
-	}
-	fn := l.ingest.journal
-	return func() { fn(t) }
-}
-
 // clearedTransition is the journal record of a successful learn.
-func clearedTransition(incidentID, reviewer string, at time.Time) RetryTransition {
-	return RetryTransition{IncidentID: incidentID, Reviewer: reviewer, Cleared: true, At: at}
+func clearedTransition(incidentID, reviewer string, at time.Time) retryTransition {
+	return retryTransition{IncidentID: incidentID, Reviewer: reviewer, Cleared: true, At: at}
 }
 
-// failedTransition is the journal record of a (re)failed learn, built
-// from the live schedule entry. Caller holds ig.mu.
-func failedTransition(f Failure, st *retryState) RetryTransition {
-	return RetryTransition{
-		IncidentID: f.IncidentID,
-		Reviewer:   f.Reviewer,
-		Attempts:   st.attempts,
-		NextDue:    st.next,
-		Exhausted:  st.exhausted,
-		Err:        f.Err.Error(),
-		At:         f.At,
-		Incident:   st.task.inc,
+// transition is the journal record of o's current state. Caller holds
+// ig.mu.
+func (o *owedLearn) transition() retryTransition {
+	return retryTransition{
+		IncidentID: o.IncidentID,
+		Reviewer:   o.Reviewer,
+		Attempts:   o.Attempts,
+		NextDue:    o.NextDue,
+		Exhausted:  o.Exhausted,
+		Err:        o.Err.Error(),
+		At:         o.At,
+		Incident:   o.inc,
 	}
 }
 
-// RestoreRetrySchedule rebuilds the retry queue's state from journaled
-// transitions, applied in order (last write per incident wins): a crashed
-// process calls this with its WAL's replayed sidecar records before
-// StartRetry, and resumes owing exactly the redrives it owed. Non-cleared
-// transitions without an Incident are skipped — there is nothing to
-// redrive. Restored due times in the past simply fire on the first
-// RedriveDue, which is the correct catch-up behaviour after downtime.
-func (l *Loop) RestoreRetrySchedule(ts []RetryTransition) {
-	ig := &l.ingest
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	for _, t := range ts {
-		if t.Cleared {
-			delete(ig.failures, t.IncidentID)
-			delete(ig.retry, t.IncidentID)
-			continue
-		}
-		if t.Incident == nil || t.IncidentID == "" {
-			continue
-		}
-		if ig.failures == nil {
-			ig.failures = make(map[string]Failure)
-		}
-		if ig.retry == nil {
-			ig.retry = make(map[string]*retryState)
-		}
-		ig.failures[t.IncidentID] = Failure{
+// owed rebuilds the owed learn a failed transition records. Restored due
+// times in the past fire on the first RedriveDue: the right catch-up
+// after downtime.
+func (t retryTransition) owed() *owedLearn {
+	return &owedLearn{
+		Failure: Failure{
 			IncidentID: t.IncidentID,
 			Reviewer:   t.Reviewer,
 			Err:        errors.New(t.Err),
 			At:         t.At,
-		}
-		ig.retry[t.IncidentID] = &retryState{
-			task:      learnTask{inc: t.Incident, reviewer: t.Reviewer},
-			attempts:  t.Attempts,
-			next:      t.NextDue,
-			exhausted: t.Exhausted,
-		}
+			Attempts:   t.Attempts,
+			NextDue:    t.NextDue,
+			Exhausted:  t.Exhausted,
+		},
+		inc: t.Incident,
 	}
-}
-
-// RetryTransitions snapshots the live schedule as one transition per
-// unresolved failure — what a WAL compaction re-journals into a freshly
-// rotated log so rotation never forgets the queue. Ordered by incident ID.
-func (l *Loop) RetryTransitions() []RetryTransition {
-	items := l.RetrySchedule()
-	ig := &l.ingest
-	ig.mu.Lock()
-	out := make([]RetryTransition, 0, len(items))
-	for _, it := range items {
-		st, ok := ig.retry[it.IncidentID]
-		if !ok || st.task.inc == nil {
-			continue
-		}
-		f := ig.failures[it.IncidentID]
-		out = append(out, failedTransition(f, st))
-	}
-	ig.mu.Unlock()
-	return out
 }

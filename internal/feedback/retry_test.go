@@ -59,56 +59,84 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 // retryLoop builds a loop over a flaky learner with a manual clock and
-// retrying on (base 1 min, cap 8 min, no background worker cadence
-// relied upon — tests pump RedriveDue directly).
-func retryLoop(t *testing.T, learner *flakyLearner, maxAttempts int) (*Loop, *fakeClock) {
+// retrying on; tests pump RedriveDue directly rather than relying on the
+// worker's poll cadence.
+func retryLoop(t *testing.T, learner Learner) (*Loop, *fakeClock) {
 	t.Helper()
 	lp := New(nil, learner)
 	clock := &fakeClock{now: time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)}
 	lp.SetClock(clock.Now)
-	err := lp.StartRetry(RetryConfig{
-		Base:        time.Minute,
-		Cap:         8 * time.Minute,
-		MaxAttempts: maxAttempts,
-		Poll:        time.Hour, // the worker's own cadence is irrelevant here
-	})
-	if err != nil {
+	if err := lp.StartRetry(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lp.Close() })
 	return lp, clock
 }
 
+// owedFor returns the loop's owed learn for one incident.
+func owedFor(lp *Loop, incidentID string) (Failure, bool) {
+	for _, f := range lp.Failures() {
+		if f.IncidentID == incidentID {
+			return f, true
+		}
+	}
+	return Failure{}, false
+}
+
+// scheduled counts the owed learns awaiting a redrive: the daemon's
+// retry backlog.
+func scheduled(lp *Loop) int {
+	n := 0
+	for _, f := range lp.Failures() {
+		if !f.NextDue.IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// exhaust spends every redrive one owed learn has left (the original
+// failed learn was attempt 1), an hour apart: past any capped backoff.
+func exhaust(t *testing.T, lp *Loop, clock *fakeClock) {
+	t.Helper()
+	for i := 1; i < retryMaxAttempts; i++ {
+		clock.advance(time.Hour)
+		if n := lp.RedriveDue(); n != 1 {
+			t.Fatalf("redrive %d: RedriveDue = %d, want 1", i, n)
+		}
+	}
+}
+
 func TestStartRetryValidation(t *testing.T) {
-	if err := New(nil, nil).StartRetry(RetryConfig{}); err == nil {
+	if err := New(nil, nil).StartRetry(); err == nil {
 		t.Fatal("StartRetry on a record-only loop must fail")
 	}
 	lp := New(nil, &flakyLearner{})
-	if err := lp.StartRetry(RetryConfig{}); err != nil {
+	if err := lp.StartRetry(); err != nil {
 		t.Fatal(err)
 	}
 	defer lp.Close()
-	if err := lp.StartRetry(RetryConfig{}); err == nil {
+	if err := lp.StartRetry(); err == nil {
 		t.Fatal("double StartRetry must fail")
 	}
 }
 
 // TestRetryHealsTransientOutage: a failed learn redrives on the backoff
 // schedule and succeeds once the embedder recovers — without the OCE
-// resubmitting. Success clears the Failure record exactly like a
+// resubmitting. Success deletes the owed learn exactly like a
 // resubmitted learn.
 func TestRetryHealsTransientOutage(t *testing.T) {
 	learner := &flakyLearner{}
-	lp, clock := retryLoop(t, learner, 8)
+	lp, clock := retryLoop(t, learner)
 
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce", ""); err == nil {
 		t.Fatal("Submit during the outage must surface the inline learn error")
 	}
-	if _, ok := lp.FailureFor("INC-1"); !ok {
+	if _, ok := owedFor(lp, "INC-1"); !ok {
 		t.Fatal("failed learn must be recorded")
 	}
-	if got := lp.RetryBacklog(); got != 1 {
-		t.Fatalf("RetryBacklog = %d, want 1", got)
+	if got := scheduled(lp); got != 1 {
+		t.Fatalf("scheduled = %d, want 1", got)
 	}
 
 	// Before the backoff elapses nothing redrives.
@@ -117,25 +145,22 @@ func TestRetryHealsTransientOutage(t *testing.T) {
 	}
 
 	// First redrive: embedder still down — attempts climb, failure stays.
-	clock.advance(2 * time.Minute) // past base + max 25% jitter
+	clock.advance(time.Minute) // past base + max 25% jitter
 	if n := lp.RedriveDue(); n != 1 {
 		t.Fatalf("RedriveDue after backoff = %d, want 1", n)
 	}
-	if _, ok := lp.FailureFor("INC-1"); !ok {
+	if _, ok := owedFor(lp, "INC-1"); !ok {
 		t.Fatal("failure must persist while the outage lasts")
 	}
 
 	// Outage ends; the next due redrive self-heals.
 	learner.heal()
-	clock.advance(3 * time.Minute) // past the doubled backoff + jitter
+	clock.advance(2 * time.Minute) // past the doubled backoff + jitter
 	if n := lp.RedriveDue(); n != 1 {
 		t.Fatalf("RedriveDue after heal = %d, want 1", n)
 	}
-	if _, ok := lp.FailureFor("INC-1"); ok {
-		t.Fatal("successful redrive must clear the failure")
-	}
-	if got := lp.RetryBacklog(); got != 0 {
-		t.Fatalf("RetryBacklog after heal = %d, want 0", got)
+	if len(lp.Failures()) != 0 {
+		t.Fatalf("successful redrive must clear the failure, owed %+v", lp.Failures())
 	}
 	if got := learner.learnedCount(); got != 1 {
 		t.Fatalf("learned %d incidents, want 1", got)
@@ -148,60 +173,58 @@ func TestRetryHealsTransientOutage(t *testing.T) {
 }
 
 // TestRetryBackoffDoublesAndCaps: the gap between consecutive redrives
-// doubles from Base and never exceeds Cap (+25% jitter), driven entirely
-// by the injected clock.
+// doubles from 30 s and never exceeds 10 min (+25% jitter), driven
+// entirely by the injected clock.
 func TestRetryBackoffDoublesAndCaps(t *testing.T) {
 	learner := &flakyLearner{}
-	lp, clock := retryLoop(t, learner, -1) // unlimited attempts
+	lp, clock := retryLoop(t, learner)
 
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce", ""); err == nil {
 		t.Fatal("want inline learn error")
 	}
-	// Attempt n has backoff min(Base·2^(n-1), Cap) plus < 25% jitter.
+	// Attempt n has backoff min(30s·2^(n-1), 10min) plus < 25% jitter.
 	// Advancing by exactly the un-jittered delay must NOT trigger;
-	// advancing by 1.25x must.
-	base, cap := time.Minute, 8*time.Minute
-	delay := base
-	for attempt := 1; attempt <= 6; attempt++ {
+	// advancing by 1.25x must. Six redrives (attempts 2–7) reach the cap
+	// before the eighth attempt exhausts the record.
+	delays := []time.Duration{
+		30 * time.Second, time.Minute, 2 * time.Minute, 4 * time.Minute, 8 * time.Minute, 10 * time.Minute,
+	}
+	for i, delay := range delays {
 		clock.advance(delay)
 		if n := lp.RedriveDue(); n != 0 {
-			t.Fatalf("attempt %d: redrove before jitter elapsed", attempt)
+			t.Fatalf("redrive %d: redrove before jitter elapsed", i+1)
 		}
 		clock.advance(delay / 4)
 		if n := lp.RedriveDue(); n != 1 {
-			t.Fatalf("attempt %d: RedriveDue = %d after full backoff window, want 1", attempt, n)
-		}
-		delay *= 2
-		if delay > cap {
-			delay = cap
+			t.Fatalf("redrive %d: RedriveDue = %d after full backoff window, want 1", i+1, n)
 		}
 	}
 }
 
-// TestRetryExhaustsAttempts: after MaxAttempts total learn attempts the
-// queue stops redriving but the Failure record stands for the OCE.
+// TestRetryExhaustsAttempts: after 8 total learn attempts the queue stops
+// redriving but the owed learn stands for the OCE.
 func TestRetryExhaustsAttempts(t *testing.T) {
 	learner := &flakyLearner{}
-	lp, clock := retryLoop(t, learner, 3)
+	lp, clock := retryLoop(t, learner)
 
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce", ""); err == nil {
 		t.Fatal("want inline learn error")
 	}
-	// Attempt 1 was the inline learn; redrives 2 and 3 exhaust the budget.
-	for i := 0; i < 2; i++ {
-		clock.advance(time.Hour)
-		if n := lp.RedriveDue(); n != 1 {
-			t.Fatalf("redrive %d: RedriveDue = %d, want 1", i+1, n)
-		}
-	}
-	if got := lp.RetryBacklog(); got != 0 {
-		t.Fatalf("RetryBacklog after exhaustion = %d, want 0", got)
+	exhaust(t, lp, clock)
+	if got := scheduled(lp); got != 0 {
+		t.Fatalf("scheduled after exhaustion = %d, want 0", got)
 	}
 	clock.advance(time.Hour)
 	if n := lp.RedriveDue(); n != 0 {
 		t.Fatalf("exhausted failure redrove anyway (%d)", n)
 	}
-	if _, ok := lp.FailureFor("INC-1"); !ok {
+	learner.mu.Lock()
+	calls := learner.calls
+	learner.mu.Unlock()
+	if calls != retryMaxAttempts {
+		t.Fatalf("learner called %d times, want %d attempts", calls, retryMaxAttempts)
+	}
+	if _, ok := owedFor(lp, "INC-1"); !ok {
 		t.Fatal("exhausted failure record must stand until resubmitted")
 	}
 	// A resubmitted verdict still heals it the manual way.
@@ -209,7 +232,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := lp.FailureFor("INC-1"); ok {
+	if _, ok := owedFor(lp, "INC-1"); ok {
 		t.Fatal("resubmitted learn must clear the failure")
 	}
 }
@@ -225,19 +248,22 @@ func TestRetryCoversPreexistingFailures(t *testing.T) {
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce", ""); err == nil {
 		t.Fatal("want inline learn error")
 	}
-	if err := lp.StartRetry(RetryConfig{Base: time.Minute, Poll: time.Hour}); err != nil {
+	if f, _ := owedFor(lp, "INC-1"); !f.NextDue.IsZero() {
+		t.Fatalf("owed learn scheduled before StartRetry: %+v", f)
+	}
+	if err := lp.StartRetry(); err != nil {
 		t.Fatal(err)
 	}
 	defer lp.Close()
-	if got := lp.RetryBacklog(); got != 1 {
-		t.Fatalf("RetryBacklog = %d after StartRetry, want the pre-existing failure scheduled", got)
+	if got := scheduled(lp); got != 1 {
+		t.Fatalf("scheduled = %d after StartRetry, want the pre-existing failure scheduled", got)
 	}
 	learner.heal()
-	clock.advance(2 * time.Minute)
+	clock.advance(time.Minute)
 	if n := lp.RedriveDue(); n != 1 {
 		t.Fatalf("RedriveDue = %d, want 1", n)
 	}
-	if _, ok := lp.FailureFor("INC-1"); ok {
+	if _, ok := owedFor(lp, "INC-1"); ok {
 		t.Fatal("pre-existing failure must heal via the retry queue")
 	}
 }
@@ -278,7 +304,7 @@ func TestRedriveDoesNotClobberNewerVerdict(t *testing.T) {
 	lp := New(nil, learner)
 	clock := &fakeClock{now: time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)}
 	lp.SetClock(clock.Now)
-	if err := lp.StartRetry(RetryConfig{Base: time.Minute, Poll: time.Hour}); err != nil {
+	if err := lp.StartRetry(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() { lp.Close() }()
@@ -306,15 +332,15 @@ func TestRedriveDoesNotClobberNewerVerdict(t *testing.T) {
 	if n := <-done; n != 1 {
 		t.Fatalf("RedriveDue = %d, want 1", n)
 	}
-	f, ok := lp.FailureFor("INC-1")
+	f, ok := owedFor(lp, "INC-1")
 	if !ok {
 		t.Fatal("stale redrive success erased the newer verdict's failure record")
 	}
 	if f.Reviewer != "oce-2" {
 		t.Fatalf("surviving failure belongs to %q, want the resubmitting oce-2", f.Reviewer)
 	}
-	if got := lp.RetryBacklog(); got != 1 {
-		t.Fatalf("RetryBacklog = %d, want the newer verdict still scheduled", got)
+	if got := scheduled(lp); got != 1 {
+		t.Fatalf("scheduled = %d, want the newer verdict still scheduled", got)
 	}
 }
 
@@ -329,7 +355,7 @@ func TestRetryWithAsyncIngest(t *testing.T) {
 	if err := lp.StartIngest(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := lp.StartRetry(RetryConfig{Base: time.Minute, Poll: time.Hour}); err != nil {
+	if err := lp.StartRetry(); err != nil {
 		t.Fatal(err)
 	}
 	defer lp.Close()
@@ -341,15 +367,15 @@ func TestRetryWithAsyncIngest(t *testing.T) {
 	if err := lp.Flush(); err == nil {
 		t.Fatal("Flush must surface the deferred learn error")
 	}
-	if got := lp.RetryBacklog(); got != 1 {
-		t.Fatalf("RetryBacklog = %d, want 1", got)
+	if got := scheduled(lp); got != 1 {
+		t.Fatalf("scheduled = %d, want 1", got)
 	}
 	learner.heal()
-	clock.advance(2 * time.Minute)
+	clock.advance(time.Minute)
 	if n := lp.RedriveDue(); n != 1 {
 		t.Fatalf("RedriveDue = %d, want 1", n)
 	}
-	if _, ok := lp.FailureFor("INC-1"); ok {
+	if _, ok := owedFor(lp, "INC-1"); ok {
 		t.Fatal("deferred failure must heal via the retry queue")
 	}
 	if got := learner.learnedCount(); got != 1 {
@@ -357,19 +383,19 @@ func TestRetryWithAsyncIngest(t *testing.T) {
 	}
 }
 
-// TestRetryScheduleObservability: RetrySchedule must expose each
-// unresolved failure's attempt count, next-due time and exhaustion — the
-// state the serving daemon's /metrics and report.RenderRetryQueue render.
+// TestRetryScheduleObservability: Failures must expose each owed learn's
+// attempt count, next-due time and exhaustion — the state the serving
+// daemon's /metrics and report.RenderRetryQueue render.
 func TestRetryScheduleObservability(t *testing.T) {
 	learner := &flakyLearner{}
-	lp, clock := retryLoop(t, learner, 2)
+	lp, clock := retryLoop(t, learner)
 
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce-a", ""); err == nil {
 		t.Fatal("Submit during the outage must surface the inline learn error")
 	}
-	items := lp.RetrySchedule()
+	items := lp.Failures()
 	if len(items) != 1 {
-		t.Fatalf("schedule = %+v, want 1 item", items)
+		t.Fatalf("owed = %+v, want 1 item", items)
 	}
 	it := items[0]
 	if it.IncidentID != "INC-1" || it.Reviewer != "oce-a" {
@@ -385,22 +411,19 @@ func TestRetryScheduleObservability(t *testing.T) {
 		t.Fatalf("item = %+v, want live failure with its error", it)
 	}
 
-	// Exhaust the budget (MaxAttempts=2: one redrive left). The record
-	// must survive as exhausted with no schedule, not disappear.
-	clock.advance(2 * time.Minute)
-	if n := lp.RedriveDue(); n != 1 {
-		t.Fatalf("RedriveDue = %d, want 1", n)
-	}
-	items = lp.RetrySchedule()
+	// Exhaust the budget. The record must survive as exhausted with no
+	// schedule, not disappear.
+	exhaust(t, lp, clock)
+	items = lp.Failures()
 	if len(items) != 1 {
-		t.Fatalf("schedule after exhaustion = %+v, want the exhausted record", items)
+		t.Fatalf("owed after exhaustion = %+v, want the exhausted record", items)
 	}
 	it = items[0]
-	if !it.Exhausted || it.Attempts != 2 || !it.NextDue.IsZero() {
+	if !it.Exhausted || it.Attempts != retryMaxAttempts || !it.NextDue.IsZero() {
 		t.Fatalf("exhausted item = %+v", it)
 	}
-	if got := lp.RetryBacklog(); got != 0 {
-		t.Fatalf("RetryBacklog counts exhausted items: %d", got)
+	if got := scheduled(lp); got != 0 {
+		t.Fatalf("scheduled counts exhausted items: %d", got)
 	}
 	// No further redrives are spent on it.
 	clock.advance(time.Hour)
@@ -408,12 +431,12 @@ func TestRetryScheduleObservability(t *testing.T) {
 		t.Fatalf("RedriveDue on exhausted backlog = %d, want 0", n)
 	}
 
-	// A resubmitted verdict requeues it; success clears the schedule.
+	// A resubmitted verdict requeues it; success clears the record.
 	learner.heal()
 	if _, err := lp.Submit(predicted("INC-1", "DiskFull"), VerdictConfirm, "", "oce-a", ""); err != nil {
 		t.Fatalf("resubmit after heal: %v", err)
 	}
-	if items := lp.RetrySchedule(); len(items) != 0 {
-		t.Fatalf("schedule after successful resubmit = %+v, want empty", items)
+	if items := lp.Failures(); len(items) != 0 {
+		t.Fatalf("owed after successful resubmit = %+v, want empty", items)
 	}
 }

@@ -138,13 +138,12 @@ func RenderLearnFailure(incidentID, reviewer string, learnErr error, at time.Tim
 	return b.String()
 }
 
-// RenderRetryQueue renders the feedback loop's self-heal schedule: every
-// unresolved learn failure with its attempt count and next redrive time —
-// the dashboard view that sits next to the Failure list, so an OCE sees
-// not just that a learn is failing but when the system will try again (or
-// that it has given up and needs a resubmitted verdict). now anchors the
-// "due in" column; pass the loop's clock reading.
-func RenderRetryQueue(now time.Time, items []feedback.RetryItem, opts Options) string {
+// RenderRetryQueue renders the feedback loop's owed learns (its
+// Failures): each with its attempt count and next redrive time, so an OCE
+// sees not just that a learn is failing but when the system will try
+// again (or that it has given up and needs a resubmitted verdict). now
+// anchors the "due in" column; pass the loop's clock reading.
+func RenderRetryQueue(now time.Time, items []feedback.Failure, opts Options) string {
 	opts = opts.withDefaults()
 	var b strings.Builder
 	fmt.Fprintf(&b, "LEARN RETRY QUEUE  %s\n", now.Format("2006-01-02 15:04 MST"))

@@ -123,7 +123,7 @@ func TestParseFeedbackCommand(t *testing.T) {
 
 func TestRenderRetryQueue(t *testing.T) {
 	now := time.Date(2022, 11, 21, 12, 0, 0, 0, time.UTC)
-	items := []feedback.RetryItem{
+	items := []feedback.Failure{
 		{
 			IncidentID: "INC-1", Reviewer: "oce-a", Attempts: 2,
 			NextDue: now.Add(90 * time.Second),

@@ -502,7 +502,7 @@ func (d *Durable) journalTunerState() {
 }
 
 // AppendRetry journals one opaque retry-schedule transition (the
-// feedback loop's gob-encoded RetryTransition) as a sidecar record.
+// feedback loop's gob-encoded owed-learn change) as a sidecar record.
 func (d *Durable) AppendRetry(payload []byte) error {
 	return d.appendRecord(walRecRetry, payload)
 }

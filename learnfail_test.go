@@ -52,8 +52,8 @@ func TestAsyncLearnFailureReachesSubmitter(t *testing.T) {
 	if f.IncidentID != "INC-ASYNC-FAIL" || f.Reviewer != "oce-carol" || f.Err == nil {
 		t.Fatalf("failure %+v lacks attribution", f)
 	}
-	if _, ok := loop.FailureFor("INC-ASYNC-FAIL"); !ok {
-		t.Fatal("failure not recorded on the loop")
+	if owed := loop.Failures(); len(owed) != 1 || owed[0].IncidentID != "INC-ASYNC-FAIL" {
+		t.Fatalf("failure not recorded on the loop: %+v", owed)
 	}
 
 	msg := sys.RenderLearnFailure(f, ReportOptions{})

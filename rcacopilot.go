@@ -109,8 +109,9 @@ type (
 	FeedbackLoop = feedback.Loop
 	// FeedbackEntry is one recorded OCE verdict.
 	FeedbackEntry = feedback.Entry
-	// LearnFailure is one failed background learn, attributed to the OCE
-	// who submitted the verdict (see FeedbackLoop.Failures/SetNotifier).
+	// LearnFailure is one owed learn: a verdict whose learn failed,
+	// attributed to the OCE who submitted it, with its redrive attempts
+	// and schedule (see FeedbackLoop.Failures/SetNotifier/StartRetry).
 	LearnFailure = feedback.Failure
 	// Verdict is an OCE judgement on a prediction.
 	Verdict = feedback.Verdict
@@ -119,9 +120,6 @@ type (
 	// Retrieved is one vector-DB retrieval hit: the stored historical
 	// incident with its distance and temporal-decay similarity.
 	Retrieved = vectordb.Scored
-	// RetryItem is one unresolved learn failure's self-heal schedule entry
-	// (see FeedbackLoop.RetrySchedule).
-	RetryItem = feedback.RetryItem
 	// Config parameterizes a System: chat model, embedding, retrieval and
 	// serving store (see core.Config for every field).
 	Config = core.Config
@@ -156,10 +154,18 @@ const (
 
 // System is an assembled RCACopilot deployment over a fleet.
 type System struct {
-	fleet    *Fleet
-	copilot  *core.Copilot
-	loopOnce sync.Once
-	loop     *feedback.Loop
+	fleet   *Fleet
+	copilot *core.Copilot
+	loop    *feedback.Loop
+	// ingestOnce starts the loop's async ingest on the first Feedback()
+	// call, not in NewSystem: the ingest worker holds a slot of the
+	// process-wide worker budget that AddHistory's batch would otherwise
+	// use.
+	ingestOnce sync.Once
+	// journalMu guards journaled, the durable store the loop's owed-learn
+	// journal is attached to.
+	journalMu sync.Mutex
+	journaled *vectordb.Durable
 }
 
 // NewFleet builds a default simulated Transport fleet.
@@ -173,7 +179,7 @@ func NewSystem(fleet *Fleet, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{fleet: fleet, copilot: cop}, nil
+	return &System{fleet: fleet, copilot: cop, loop: feedback.New(nil, cop)}, nil
 }
 
 // Fleet returns the fleet under diagnosis.
@@ -202,8 +208,7 @@ func (s *System) TrainEmbedding(history []*Incident) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.copilot.SetEmbedder(core.FastTextEmbedder{Model: model})
-	return err
+	return s.setEmbedder(core.FastTextEmbedder{Model: model})
 }
 
 // UseGPTEmbedding swaps the retriever to the chat model's embedding
@@ -215,8 +220,17 @@ func (s *System) UseGPTEmbedding(dim int) error {
 	if dim <= 0 {
 		dim = 64
 	}
-	_, err := s.copilot.SetEmbedder(core.LLMEmbedder{Client: s.copilot.Chat(), EmbedDim: dim})
-	return err
+	return s.setEmbedder(core.LLMEmbedder{Client: s.copilot.Chat(), EmbedDim: dim})
+}
+
+// setEmbedder attaches e and, with Config.WALDir set, the feedback
+// loop's journal to the durable store the swap opened.
+func (s *System) setEmbedder(e core.Embedder) error {
+	if _, err := s.copilot.SetEmbedder(e); err != nil {
+		return err
+	}
+	s.attachJournal()
+	return nil
 }
 
 // AddHistory inserts labelled historical incidents into the vector DB,
@@ -288,53 +302,39 @@ func (s *System) Learn(inc *Incident) error { return s.copilot.Learn(inc.Clone()
 // Safe to call concurrently; every caller sees the same loop. With
 // Config.AsyncLearnQueue > 0 the loop's learning runs on a background
 // ingest worker — see FeedbackLoop.Flush for the read-your-writes barrier.
+//
+// With Config.WALDir set, the loop's owed learns (FeedbackLoop.Failures)
+// ride the durable store's write-ahead log: the loop is attached to the
+// current store whenever one exists — here, and after TrainEmbedding or
+// UseGPTEmbedding swaps it — so a restarted system owes exactly the learns
+// the crashed one owed, whichever of Feedback and the embedding comes
+// first. A store attached through Copilot().SetEmbedder directly is
+// picked up on the next Feedback call.
 func (s *System) Feedback() *FeedbackLoop {
-	s.loopOnce.Do(func() {
-		s.loop = feedback.New(nil, s.copilot)
-		if d := s.copilot.Durable(); d != nil {
-			// Durable deployment (Config.WALDir): the retry schedule rides
-			// the vector store's WAL as opaque sidecar records. Restore the
-			// schedule the crashed process owed first, then journal every
-			// transition from here on, and let compaction re-log the live
-			// schedule into each freshly rotated log. Note the loop is built
-			// lazily — with WALDir set, call Feedback() after TrainEmbedding
-			// so the durable store (and its replayed records) exists.
-			var ts []feedback.RetryTransition
-			for _, p := range d.RetryRecords() {
-				t, err := feedback.DecodeRetryTransition(p)
-				if err != nil {
-					// The frame checksum verified, so this is a schema drift
-					// across versions, not crash damage; dropping one
-					// schedule entry only costs a redrive until resubmit.
-					continue
-				}
-				ts = append(ts, t)
-			}
-			s.loop.RestoreRetrySchedule(ts)
-			s.loop.SetRetryJournal(func(t feedback.RetryTransition) {
-				if p, err := t.Encode(); err == nil {
-					// A sticky log error surfaces through the durable
-					// store's Stats; the in-memory schedule keeps working.
-					_ = d.AppendRetry(p)
-				}
-			})
-			d.SetRetrySnapshot(func() [][]byte {
-				var out [][]byte
-				for _, t := range s.loop.RetryTransitions() {
-					if p, err := t.Encode(); err == nil {
-						out = append(out, p)
-					}
-				}
-				return out
-			})
-		}
+	s.ingestOnce.Do(func() {
 		if n := s.copilot.Config().AsyncLearnQueue; n > 0 {
-			// Start cannot fail here: the learner is non-nil and the loop
-			// is freshly built.
+			// Start cannot fail here: the learner is non-nil and ingest
+			// has never started.
 			_ = s.loop.StartIngest(n)
 		}
 	})
+	s.attachJournal()
 	return s.loop
+}
+
+// attachJournal attaches the feedback loop's owed-learn journal to the
+// current durable store, once per store.
+func (s *System) attachJournal() {
+	d := s.copilot.Durable()
+	if d == nil {
+		return
+	}
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	if d != s.journaled {
+		s.journaled = d
+		s.loop.AttachJournal(d)
+	}
 }
 
 // Retrieve embeds free text and returns the k nearest historical
@@ -362,12 +362,12 @@ func (s *System) RetrieveTeam(team, text string, k int, diverse bool) ([]Retriev
 // lifecycle — see FeedbackLoop.Close.
 func (s *System) Close() { s.copilot.Close() }
 
-// RenderRetryQueue renders the feedback loop's learn-failure self-heal
-// schedule — per-incident attempt counts and next redrive times — next to
-// which a dashboard shows the Failures list. The rendering is anchored at
-// the wall clock the retry queue itself runs on.
+// RenderRetryQueue renders the feedback loop's owed learns
+// (FeedbackLoop.Failures) with their attempt counts and next redrive
+// times: the dashboard view of learns the loop still owes. The rendering
+// is anchored at the wall clock the retry queue itself runs on.
 func (s *System) RenderRetryQueue(opts ReportOptions) string {
-	return report.RenderRetryQueue(time.Now(), s.Feedback().RetrySchedule(), opts)
+	return report.RenderRetryQueue(time.Now(), s.Feedback().Failures(), opts)
 }
 
 // RenderReport produces the plain-text incident notification for a handled
@@ -386,9 +386,9 @@ func (s *System) RenderReport(inc *Incident, rep *RunReport, opts ReportOptions)
 //		deliver(f.Reviewer, sys.RenderLearnFailure(f, rcacopilot.ReportOptions{}))
 //	})
 //
-// Failures also stay queryable on the loop (Failures/FailureFor) until
-// the incident learns successfully, so a dashboard can show unresolved
-// learn debt without any Flush.
+// Owed learns also stay queryable on the loop (Failures) until the
+// incident learns successfully, so a dashboard can show them without any
+// Flush; RenderRetryQueue renders that list.
 func (s *System) RenderLearnFailure(f LearnFailure, opts ReportOptions) string {
 	return report.RenderLearnFailure(f.IncidentID, f.Reviewer, f.Err, f.At, opts)
 }
